@@ -94,18 +94,17 @@ func fineTune(model *nn.Model, attackSet *data.Dataset, params []*nn.Param, trig
 	}
 	opt := nn.NewSGD(params, cfg.LR, 0.9, 0)
 
-	// Gradient passes run on the data-parallel trainer; the optimizer
-	// only steps the caller's parameter subset, and the trainer resyncs
-	// replica weights from the master each iteration.
+	// Gradient passes run on the data-parallel trainer, the clean and
+	// triggered terms as one concurrent pair; the optimizer only steps
+	// the caller's parameter subset, and the trainer resyncs replica
+	// weights from the master each iteration.
 	trainer := nn.NewTrainer(model, nn.DefaultTrainShards)
 	trigImages := batch.Images.Clone()
 	for t := 0; t < cfg.Iterations; t++ {
 		model.ZeroGrad()
-		trainer.ForwardBackward(batch.Images, batch.Labels, 1-cfg.Alpha)
-
 		copy(trigImages.Data(), batch.Images.Data())
 		trigger.Apply(trigImages)
-		trainer.ForwardBackward(trigImages, targets, cfg.Alpha)
+		trainer.ForwardBackwardPair(batch.Images, batch.Labels, 1-cfg.Alpha, trigImages, targets, cfg.Alpha)
 
 		opt.Step()
 	}

@@ -98,11 +98,9 @@ func TBT(model *nn.Model, attackSet *data.Dataset, cfg TBTConfig) (*Result, erro
 	// Step 3: fine-tune only W[target, selected].
 	for t := 0; t < cfg.Iterations; t++ {
 		model.ZeroGrad()
-		trainer.ForwardBackward(batch.Images, batch.Labels, 1-cfg.Alpha)
-
 		copy(trigImages.Data(), batch.Images.Data())
 		trigger.Apply(trigImages)
-		trainer.ForwardBackward(trigImages, targets, cfg.Alpha)
+		trainer.ForwardBackwardPair(batch.Images, batch.Labels, 1-cfg.Alpha, trigImages, targets, cfg.Alpha)
 
 		// Masked SGD on the selected row entries only.
 		w := fc.Weight.W.Data()

@@ -14,7 +14,11 @@ import (
 // the unit of work Algorithm 1 repeats hundreds of times — on the
 // direct single-graph path and on the data-parallel trainer at one and
 // four workers. Allocation counts are the headline: the trainer path
-// reuses every buffer after warmup.
+// reuses every buffer after warmup. The trainer_pair and
+// trainer_sequential entries time one full CFT+BR iteration's gradient
+// work (a clean and a triggered term, one shard, as RunOffline runs
+// them) as one ForwardBackwardPair and as two sequential
+// ForwardBackward calls.
 func BenchmarkTrainStep(b *testing.B) {
 	x := tensor.New(32, 3, 32, 32)
 	tensor.NewRNG(1).FillNormal(x, 0, 1)
@@ -63,6 +67,40 @@ func BenchmarkTrainStep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.ZeroGrad()
 				tr.ForwardBackward(x, labels, 1)
+			}
+		})
+	}
+
+	xTrig := x.Clone()
+	data.NewSquareTrigger(3, 32, 32, 10).Apply(xTrig)
+	targets := make([]int, 32)
+	for i := range targets {
+		targets[i] = 2
+	}
+	for _, pair := range []bool{true, false} {
+		name := "trainer_sequential"
+		if pair {
+			name = "trainer_pair"
+		}
+		b.Run(name, func(b *testing.B) {
+			m := buildVictim()
+			tr := nn.NewTrainer(m, nn.DefaultTrainShards)
+			step := func() {
+				m.ZeroGrad()
+				if pair {
+					tr.ForwardBackwardPair(x, labels, 0.5, xTrig, targets, 0.5)
+					return
+				}
+				tr.ForwardBackward(x, labels, 0.5)
+				tr.ForwardBackward(xTrig, targets, 0.5)
+			}
+			for i := 0; i < 2; i++ {
+				step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
 			}
 		})
 	}

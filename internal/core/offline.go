@@ -297,13 +297,16 @@ func RunOffline(model *nn.Model, attackSet *data.Dataset, cfg Config) (*Result, 
 	for t := 0; t < cfg.Iterations; t++ {
 		model.ZeroGrad()
 
-		// Clean-data term: (1−α)·ℓ(f(x, θ+Δθ), y).
-		cleanLoss, _ := trainer.ForwardBackward(batch.Images, batch.Labels, 1-cfg.Alpha)
-
-		// Triggered term: α·ℓ(f(x+Δx, θ+Δθ), ỹ).
+		// The clean-data term (1−α)·ℓ(f(x, θ+Δθ), y) and the triggered
+		// term α·ℓ(f(x+Δx, θ+Δθ), ỹ) are independent, so they run as one
+		// trainer pair: both passes at once, gradients folded clean term
+		// first — bit-identical to two sequential calls. The clean term's
+		// input gradient is not needed.
 		copy(trigImages.Data(), batch.Images.Data())
 		trigger.Apply(trigImages)
-		trigLoss, inGrad := trainer.ForwardBackward(trigImages, targetLabels, cfg.Alpha)
+		cleanLoss, trigLoss, _, inGrad := trainer.ForwardBackwardPair(
+			batch.Images, batch.Labels, 1-cfg.Alpha,
+			trigImages, targetLabels, cfg.Alpha)
 
 		result.LossHistory = append(result.LossHistory, cleanLoss+trigLoss)
 

@@ -4,24 +4,6 @@ import (
 	"rowhammer/internal/tensor"
 )
 
-// im2colCacheBudget bounds the per-layer forward im2col panel cache (in
-// bytes). When a training-mode forward's full batch of column panels
-// fits the budget, the layer keeps them and the backward pass reuses
-// them for the weight-gradient GEMM instead of recomputing im2col; a
-// batch that exceeds the budget falls back to recomputation.
-var im2colCacheBudget = 16 << 20
-
-// SetIm2ColCacheBudget overrides the per-layer im2col panel cache
-// budget in bytes (0 disables caching) and returns the previous value.
-func SetIm2ColCacheBudget(bytes int) int {
-	prev := im2colCacheBudget
-	if bytes < 0 {
-		bytes = 0
-	}
-	im2colCacheBudget = bytes
-	return prev
-}
-
 // convBwdChunks returns the fixed chunk count for the backward batch
 // partition. It depends only on the batch size — never on the worker
 // count — so the per-chunk gradient slots and their fixed-order tree
@@ -53,16 +35,14 @@ type Conv2D struct {
 
 	// Steady-state buffers: the output and input-gradient tensors are
 	// grow-only per-layer caches (training-mode only for the output, so
-	// inference callers may hold results across calls), the weight
-	// matrix views are built once, and colCache holds the forward
-	// im2col panels for the backward weight-gradient GEMM when the
-	// batch fits the budget.
+	// inference callers may hold results across calls) and the weight
+	// matrix views are built once. im2col panels are never kept between
+	// passes: both directions lower each image into a pooled per-chunk
+	// buffer, so a layer holds no batch-sized column storage.
 	outBuf    *tensor.Tensor
 	gradInBuf *tensor.Tensor
 	wMat      *tensor.Tensor
 	gWMat     *tensor.Tensor
-	colCache  []float32
-	colCached bool
 	fwd       *convFwdScratch
 	bwd       *convBwdScratch
 }
@@ -158,16 +138,6 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	outLen := c.outC * oh * ow
 	colLen := tensor.ColBufLen(c.inC, h, w, c.kh, c.kw, c.stride, c.pad)
 
-	// Cache the im2col panels for the backward pass when the whole
-	// batch fits the budget (training mode only).
-	c.colCached = train && colLen > 0 && n*colLen*4 <= im2colCacheBudget
-	if c.colCached {
-		if cap(c.colCache) < n*colLen {
-			c.colCache = make([]float32, n*colLen)
-		}
-		c.colCache = c.colCache[:n*colLen]
-	}
-
 	chunks := convBwdChunks(n)
 	fs := c.fwd
 	if fs == nil || fs.n != n || fs.h != h || fs.w != w {
@@ -178,20 +148,11 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		c.fwd = fs
 	}
-	tensor.ParallelChunksIndexed(n, chunks, batchWorkers, func(idx, lo, hi int) {
-		var col []float32
-		if !c.colCached {
-			col = tensor.GetF32(colLen)
-		} else {
-			col = c.colCache[lo*colLen : (lo+1)*colLen]
-		}
+	tensor.ParallelChunksIndexed(n, chunks, batchWorkerCount(), func(idx, lo, hi int) {
+		col := tensor.GetF32(colLen)
 		colT := bindMat(&fs.colT[idx], col, c.inC*c.kh*c.kw, oh*ow)
 		dst := bindMat(&fs.dst[idx], out.Data()[lo*outLen:(lo+1)*outLen], c.outC, oh*ow)
 		for i := lo; i < hi; i++ {
-			if c.colCached {
-				col = c.colCache[i*colLen : (i+1)*colLen]
-				colT.Rebind(col)
-			}
 			img := x.Data()[i*imgLen : (i+1)*imgLen]
 			tensor.Im2Col(img, c.inC, h, w, c.kh, c.kw, c.stride, c.pad, col)
 			dst.Rebind(out.Data()[i*outLen : (i+1)*outLen])
@@ -208,9 +169,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				}
 			}
 		}
-		if !c.colCached {
-			tensor.PutF32(col)
-		}
+		tensor.PutF32(col)
 	})
 	return out
 }
@@ -219,10 +178,10 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // number of chunks (a function of the batch size only); each chunk
 // accumulates its weight-gradient contribution into a private slot and
 // the slots are tree-reduced in fixed order, so the result is
-// bit-identical at any worker count. The im2col panels cached by the
-// training forward are reused for the weight-gradient GEMM; everything
-// else is pooled or layer-cached, so the steady state allocates
-// nothing.
+// bit-identical at any worker count. Each image is re-lowered with
+// im2col into a pooled per-chunk buffer for the weight-gradient GEMM
+// (the same values the forward computed); everything else is pooled or
+// layer-cached, so the steady state allocates nothing.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	x := c.lastInput
 	n, h, w := x.Dim(0), c.lastH, c.lastW
@@ -264,13 +223,8 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		biasSlots[i] = 0
 	}
 
-	tensor.ParallelChunksIndexed(n, chunks, batchWorkers, func(idx, lo, hi int) {
-		var col []float32
-		if !c.colCached {
-			col = tensor.GetF32(colLen)
-		} else {
-			col = c.colCache[lo*colLen : (lo+1)*colLen]
-		}
+	tensor.ParallelChunksIndexed(n, chunks, batchWorkerCount(), func(idx, lo, hi int) {
+		col := tensor.GetF32(colLen)
 		colT := bindMat(&sc.colT[idx], col, ckk, oh*ow)
 		gradColData := tensor.GetF32(ckk * oh * ow)
 		gradCol := bindMat(&sc.gradCol[idx], gradColData, ckk, oh*ow)
@@ -284,12 +238,8 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 		first := true
 		for i := lo; i < hi; i++ {
-			if c.colCached {
-				colT.Rebind(c.colCache[i*colLen : (i+1)*colLen])
-			} else {
-				img := x.Data()[i*imgLen : (i+1)*imgLen]
-				tensor.Im2Col(img, c.inC, h, w, c.kh, c.kw, c.stride, c.pad, col)
-			}
+			img := x.Data()[i*imgLen : (i+1)*imgLen]
+			tensor.Im2Col(img, c.inC, h, w, c.kh, c.kw, c.stride, c.pad, col)
 			g.Rebind(grad.Data()[i*outLen : (i+1)*outLen])
 
 			// dW_slot += g · colᵀ; the first item writes straight into
@@ -322,9 +272,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				}
 			}
 		}
-		if !c.colCached {
-			tensor.PutF32(col)
-		}
+		tensor.PutF32(col)
 		tensor.PutF32(gradColData)
 		tensor.PutF32(tmpGWData)
 	})

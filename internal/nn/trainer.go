@@ -29,6 +29,14 @@ const DefaultTrainShards = 1
 // combination (gradient tree reduction, loss summation, batch-norm
 // statistic averaging) walks the shard index in fixed order.
 //
+// Term-order contract: a step is a compute phase (forward+backward on
+// the replicas) followed by a reduce phase (folding the replicas'
+// gradients into the master). ForwardBackwardPair computes two loss
+// terms concurrently on two independent replica sets, then reduces term
+// 0 before term 1 — master G = (G + g₀) + g₁, exactly the order two
+// sequential ForwardBackward calls produce. A pair is therefore
+// bit-identical to the two calls it replaces, at any worker count.
+//
 // The master never runs a forward pass through the trainer — it is the
 // single source of truth for weights and the accumulation target for
 // gradients, so callers keep mutating master weights directly (masked
@@ -42,10 +50,20 @@ type Trainer struct {
 
 	masterParams []*Param
 	masterBNs    []*BatchNorm2D
-	replicas     []*replica
+	// terms[0] serves ForwardBackward and a pair's first term; terms[1]
+	// serves a pair's second term and stays empty until the first pair.
+	terms [2]replicaSet
 
-	inGradBuf *tensor.Tensor
-	slots     [][]float32
+	slots [][]float32
+}
+
+// replicaSet is one loss term's working set: its shard replicas, its
+// input-gradient buffer, and the geometry of its last compute phase.
+type replicaSet struct {
+	replicas []*replica
+	inGrad   *tensor.Tensor
+	n, sEff  int
+	weight   float32
 }
 
 // NewTrainer builds a trainer with the given shard count (values < 1
@@ -84,13 +102,6 @@ func (t *Trainer) SetWorkers(n int) {
 	t.workers = n
 }
 
-// ensureReplicas materializes the shard replicas on first use.
-func (t *Trainer) ensureReplicas() {
-	for len(t.replicas) < t.shards {
-		t.replicas = append(t.replicas, newReplica(t.Master))
-	}
-}
-
 // ForwardBackward runs one data-parallel forward+backward over the
 // batch x (N,C,H,W) with the given integer labels, accumulating
 // dLoss/dθ into the master's parameter gradients (like Model.Backward,
@@ -100,24 +111,76 @@ func (t *Trainer) ensureReplicas() {
 // returned tensor is owned by the trainer and valid until the next
 // call.
 func (t *Trainer) ForwardBackward(x *tensor.Tensor, labels []int, weight float32) (float32, *tensor.Tensor) {
+	s := t.prepare(0, x, labels, weight)
+	t.compute(s, x, labels)
+	return t.reduce(s), s.inGrad
+}
+
+// ForwardBackwardPair runs two independent loss terms — (x0, l0, w0)
+// and (x1, l1, w1) — as one step: both compute phases run at the same
+// time on separate replica sets, then term 0 reduces into the master
+// before term 1. Gradients, losses and input gradients are
+// bit-identical to ForwardBackward(x0, l0, w0) followed by
+// ForwardBackward(x1, l1, w1), at any worker count. The returned input
+// gradients are owned by the trainer and valid until the next call.
+//
+// The master's batch norm must be frozen: live batch statistics would
+// make the second term depend on the first term's running-stat update,
+// so a pair panics rather than invent an order for folding them.
+func (t *Trainer) ForwardBackwardPair(x0 *tensor.Tensor, l0 []int, w0 float32, x1 *tensor.Tensor, l1 []int, w1 float32) (loss0, loss1 float32, in0, in1 *tensor.Tensor) {
+	for _, bn := range t.masterBNs {
+		if !bn.Frozen {
+			panic("nn: ForwardBackwardPair requires frozen batch norm")
+		}
+	}
+	s0 := t.prepare(0, x0, l0, w0)
+	s1 := t.prepare(1, x1, l1, w1)
+	tensor.ParallelChunksIndexed(2, 2, t.workers, func(idx, _, _ int) {
+		if idx == 0 {
+			t.compute(s0, x0, l0)
+		} else {
+			t.compute(s1, x1, l1)
+		}
+	})
+	loss0 = t.reduce(s0)
+	loss1 = t.reduce(s1)
+	return loss0, loss1, s0.inGrad, s1.inGrad
+}
+
+// prepare validates one term and sizes its replica set on the calling
+// goroutine, so nothing that can panic or clone the master runs inside
+// the concurrent compute phase. Replicas are built on first use.
+func (t *Trainer) prepare(term int, x *tensor.Tensor, labels []int, weight float32) *replicaSet {
 	n := x.Dim(0)
 	if len(labels) != n {
 		panic("nn: label count does not match batch size")
 	}
-	t.ensureReplicas()
-
-	sEff := t.shards
-	if sEff > n {
-		sEff = n
+	s := &t.terms[term]
+	for len(s.replicas) < t.shards {
+		s.replicas = append(s.replicas, newReplica(t.Master))
 	}
+	s.n, s.weight = n, weight
+	s.sEff = t.shards
+	if s.sEff > n {
+		s.sEff = n
+	}
+	s.inGrad = tensor.Ensure(s.inGrad, x.Shape()...)
+	return s
+}
+
+// compute is a step's first phase: resync the term's replicas from the
+// master, then run forward+backward per shard. It writes only the
+// term's own replicas and input-gradient buffer, so two terms may
+// compute concurrently.
+func (t *Trainer) compute(s *replicaSet, x *tensor.Tensor, labels []int) {
+	n, sEff := s.n, s.sEff
 	itemLen := x.Len() / n
-	t.inGradBuf = tensor.Ensure(t.inGradBuf, x.Shape()...)
-	inGrad := t.inGradBuf
+	inGrad := s.inGrad
 
 	// Resync before every step: master weights may have been mutated
 	// since the last call (sign-SGD update, bit flip, requantization).
-	for s := 0; s < sEff; s++ {
-		t.replicas[s].syncFrom(t.masterParams, t.masterBNs)
+	for i := 0; i < sEff; i++ {
+		s.replicas[i].syncFrom(t.masterParams, t.masterBNs)
 	}
 
 	shape := x.Shape()
@@ -127,31 +190,36 @@ func (t *Trainer) ForwardBackward(x *tensor.Tensor, labels []int, weight float32
 	tensor.ParallelChunksIndexed(sEff, sEff, t.workers, func(idx, _, _ int) {
 		lo := idx * n / sEff
 		hi := (idx + 1) * n / sEff
-		rep := t.replicas[idx]
+		rep := s.replicas[idx]
 		rep.model.ZeroGrad()
 		xs := tensor.FromSlice(x.Data()[lo*itemLen:hi*itemLen], append([]int{hi - lo}, shape[1:]...)...)
 		logits := rep.model.Forward(xs, true)
 		rep.grad = tensor.Ensure(rep.grad, logits.Shape()...)
-		rep.lossSum = CrossEntropyInto(rep.grad, logits, labels[lo:hi], weight, n)
+		rep.lossSum = CrossEntropyInto(rep.grad, logits, labels[lo:hi], s.weight, n)
 		gin := rep.model.Backward(rep.grad)
 		copy(inGrad.Data()[lo*itemLen:hi*itemLen], gin.Data())
 	})
+}
 
-	// Fixed-order combination of the shard results.
+// reduce is a step's second phase: fold the term's shard gradients,
+// loss and (unfrozen) batch-norm statistics into the master in fixed
+// shard order, returning the term's weighted mean loss.
+func (t *Trainer) reduce(s *replicaSet) float32 {
+	sEff := s.sEff
 	if cap(t.slots) < sEff {
 		t.slots = make([][]float32, sEff)
 	}
 	slots := t.slots[:sEff]
 	for j, mp := range t.masterParams {
-		for s := 0; s < sEff; s++ {
-			slots[s] = t.replicas[s].params[j].G.Data()
+		for i := 0; i < sEff; i++ {
+			slots[i] = s.replicas[i].params[j].G.Data()
 		}
 		tensor.TreeReduceInto(mp.G.Data(), slots)
 	}
 
 	var total float64
-	for s := 0; s < sEff; s++ {
-		total += t.replicas[s].lossSum
+	for i := 0; i < sEff; i++ {
+		total += s.replicas[i].lossSum
 	}
 
 	// Unfrozen batch norm computes shard-local ("ghost") statistics;
@@ -164,8 +232,8 @@ func (t *Trainer) ForwardBackward(x *tensor.Tensor, labels []int, weight float32
 		inv := 1 / float64(sEff)
 		for ch := range mbn.RunningMean {
 			var sm, sv float64
-			for s := 0; s < sEff; s++ {
-				rbn := t.replicas[s].bns[bi]
+			for i := 0; i < sEff; i++ {
+				rbn := s.replicas[i].bns[bi]
 				sm += float64(rbn.RunningMean[ch])
 				sv += float64(rbn.RunningVar[ch])
 			}
@@ -174,5 +242,5 @@ func (t *Trainer) ForwardBackward(x *tensor.Tensor, labels []int, weight float32
 		}
 	}
 
-	return weight * float32(total) / float32(n), inGrad
+	return s.weight * float32(total) / float32(s.n)
 }

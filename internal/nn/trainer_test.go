@@ -223,3 +223,142 @@ func TestTrainerResyncsAfterWeightMutation(t *testing.T) {
 		}
 	}
 }
+
+// pairStep is one trainer step's observable output: the flattened
+// master gradients, both terms' losses and copies of both input
+// gradients.
+type pairStep struct {
+	grads            []float32
+	loss0, loss1     float32
+	inGrad0, inGrad1 []float32
+}
+
+func flatGrads(m *Model) []float32 {
+	var g []float32
+	for _, p := range m.Params() {
+		g = append(g, p.G.Data()...)
+	}
+	return g
+}
+
+// runPairSteps runs three consecutive two-term steps on a fresh frozen
+// model, mutating master weights between steps as the attack's masked
+// update does. With pair set the terms run through ForwardBackwardPair;
+// otherwise through two sequential ForwardBackward calls.
+func runPairSteps(t *testing.T, shards, workers int, pair bool) []pairStep {
+	t.Helper()
+	prev := tensor.SetMaxWorkers(workers)
+	prevBatch := SetBatchWorkers(workers)
+	defer func() {
+		tensor.SetMaxWorkers(prev)
+		SetBatchWorkers(prevBatch)
+	}()
+
+	m := cloneTestModel(61)
+	FreezeBatchNorm(m.Root)
+	tr := NewTrainer(m, shards)
+	tr.SetWorkers(workers)
+
+	rng := tensor.NewRNG(62)
+	x0 := tensor.New(6, 2, 8, 8)
+	x1 := tensor.New(6, 2, 8, 8)
+	rng.FillNormal(x0, 0, 1)
+	rng.FillNormal(x1, 0, 1)
+	l0 := []int{0, 1, 2, 0, 1, 2}
+	l1 := []int{2, 2, 2, 2, 2, 2}
+
+	var steps []pairStep
+	for step := 0; step < 3; step++ {
+		// Step 1 accumulates onto step 0's gradients, so the fold order
+		// (G + g₀) + g₁ is observable, not hidden by a zeroed G.
+		if step != 1 {
+			m.ZeroGrad()
+		}
+		var s pairStep
+		if pair {
+			var in0, in1 *tensor.Tensor
+			s.loss0, s.loss1, in0, in1 = tr.ForwardBackwardPair(x0, l0, 0.4, x1, l1, 0.6)
+			s.inGrad0 = append([]float32(nil), in0.Data()...)
+			s.inGrad1 = append([]float32(nil), in1.Data()...)
+		} else {
+			loss0, in0 := tr.ForwardBackward(x0, l0, 0.4)
+			s.loss0, s.inGrad0 = loss0, append([]float32(nil), in0.Data()...)
+			loss1, in1 := tr.ForwardBackward(x1, l1, 0.6)
+			s.loss1, s.inGrad1 = loss1, append([]float32(nil), in1.Data()...)
+		}
+		s.grads = flatGrads(m)
+		steps = append(steps, s)
+
+		// Sign-SGD-like mutation so the next step must resync replicas.
+		for _, p := range m.Params() {
+			w, g := p.W.Data(), p.G.Data()
+			for i := range w {
+				if g[i] > 0 {
+					w[i] -= 0.01
+				} else if g[i] < 0 {
+					w[i] += 0.01
+				}
+			}
+		}
+	}
+	return steps
+}
+
+// firstDiff returns the first index where a and b differ bitwise (0 on a
+// length mismatch), or -1 when they are identical.
+func firstDiff(a, b []float32) int {
+	if len(a) != len(b) {
+		return 0
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestTrainerPairMatchesSequentialCalls pins the term-order contract:
+// a ForwardBackwardPair is bit-identical to two sequential
+// ForwardBackward calls — master gradients, both losses and both input
+// gradients — at every worker and shard count, across consecutive
+// steps with master weight mutations in between.
+func TestTrainerPairMatchesSequentialCalls(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		ref := runPairSteps(t, shards, 1, false)
+		for _, workers := range []int{1, 2, 4} {
+			got := runPairSteps(t, shards, workers, true)
+			for step := range ref {
+				r, g := ref[step], got[step]
+				if g.loss0 != r.loss0 || g.loss1 != r.loss1 {
+					t.Fatalf("shards=%d workers=%d step %d: losses (%v, %v) != sequential (%v, %v)",
+						shards, workers, step, g.loss0, g.loss1, r.loss0, r.loss1)
+				}
+				if i := firstDiff(g.grads, r.grads); i >= 0 {
+					t.Fatalf("shards=%d workers=%d step %d: master gradient %d differs from sequential", shards, workers, step, i)
+				}
+				if i := firstDiff(g.inGrad0, r.inGrad0); i >= 0 {
+					t.Fatalf("shards=%d workers=%d step %d: term-0 input gradient %d differs", shards, workers, step, i)
+				}
+				if i := firstDiff(g.inGrad1, r.inGrad1); i >= 0 {
+					t.Fatalf("shards=%d workers=%d step %d: term-1 input gradient %d differs", shards, workers, step, i)
+				}
+			}
+		}
+	}
+}
+
+// TestTrainerPairRejectsUnfrozenBatchNorm: live batch statistics would
+// make the second term depend on the first, so a pair must refuse them.
+func TestTrainerPairRejectsUnfrozenBatchNorm(t *testing.T) {
+	m := cloneTestModel(63)
+	tr := NewTrainer(m, 1)
+	x := tensor.New(2, 2, 8, 8)
+	labels := []int{0, 1}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ForwardBackwardPair accepted a model with unfrozen batch norm")
+		}
+	}()
+	tr.ForwardBackwardPair(x, labels, 0.5, x, labels, 0.5)
+}

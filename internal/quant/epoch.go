@@ -66,8 +66,13 @@ func (e *epoch) release() {
 
 // acquireEpoch returns the current epoch with a reader reference held,
 // rebuilding first if any slot is dirty. The clean path is lock-free:
-// one atomic flag load, one pointer load, one ref increment and a
+// one atomic flag load, one pointer load, one ref load and CAS, and a
 // confirming pointer load.
+//
+// The pin is a CAS that refuses refs == 0: an epoch whose last
+// reference already dropped has retired, and reviving it would make the
+// retry's release retire it a second time (driving LiveEpochs below
+// the true count). Such a reader reloads cur instead.
 func (qm *QModel) acquireEpoch() *epoch {
 	if qm.anyDirty.Load() {
 		qm.mu.Lock()
@@ -76,12 +81,27 @@ func (qm *QModel) acquireEpoch() *epoch {
 	}
 	for {
 		ep := qm.cur.Load()
-		ep.refs.Add(1)
+		if !ep.tryPin() {
+			continue // retired between load and pin
+		}
 		if qm.cur.Load() == ep {
 			return ep
 		}
 		// Superseded between load and pin; drop the stale ref and retry.
 		ep.release()
+	}
+}
+
+// tryPin takes a reader reference unless the epoch has already retired.
+func (e *epoch) tryPin() bool {
+	for {
+		r := e.refs.Load()
+		if r == 0 {
+			return false
+		}
+		if e.refs.CompareAndSwap(r, r+1) {
+			return true
+		}
 	}
 }
 

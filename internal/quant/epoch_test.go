@@ -167,3 +167,50 @@ func TestEpochFlipStormRace(t *testing.T) {
 		}
 	}
 }
+
+// TestEpochPublishVsPinStress races bare epoch pins against publishes.
+// A reader that loads cur just before a publish retires that epoch can
+// otherwise pin it at refs == 0 and, on its superseded-retry release,
+// retire it a second time, so the live-epoch gauge undercounts. Each
+// round drains every reader and then requires exactly one live epoch;
+// the gauge must also never read below one mid-storm. Run under -race.
+func TestEpochPublishVsPinStress(t *testing.T) {
+	q, qm := buildEngine(t, 53)
+	qm.Forward(fixedBatch(qm.Model(), 1, 23)) // publish the first full epoch
+
+	const (
+		rounds    = 8
+		publishes = 150
+		readers   = 4
+	)
+	for round := 0; round < rounds; round++ {
+		var stop atomic.Bool
+		var minLive atomic.Int64
+		minLive.Store(1)
+		var wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					ep := qm.acquireEpoch()
+					if live := qm.LiveEpochs(); live < 1 {
+						minLive.Store(live)
+					}
+					ep.release()
+				}
+			}()
+		}
+		for i := 0; i < publishes; i++ {
+			qm.Exclusive(func() { q.FlipBit(0, 7) })
+		}
+		stop.Store(true)
+		wg.Wait()
+		if live := minLive.Load(); live < 1 {
+			t.Fatalf("round %d: LiveEpochs read %d mid-storm, want >= 1", round, live)
+		}
+		if live := qm.LiveEpochs(); live != 1 {
+			t.Fatalf("round %d: %d epochs live after drain, want 1", round, live)
+		}
+	}
+}
