@@ -4,7 +4,6 @@ import "rowhammer/internal/tensor"
 
 // ReLU is the rectified-linear activation.
 type ReLU struct {
-	mask   []bool
 	outBuf *tensor.Tensor
 }
 
@@ -13,7 +12,7 @@ var _ Layer = (*ReLU)(nil)
 // NewReLU returns a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward implements Layer.
+// Forward implements Layer. An eval-mode forward writes no layer state.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	var out *tensor.Tensor
 	if train {
@@ -22,32 +21,28 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	} else {
 		out = tensor.New(x.Shape()...)
 	}
-	xd, od := x.Data(), out.Data()
-	if cap(r.mask) < len(xd) {
-		r.mask = make([]bool, len(xd))
-	}
-	r.mask = r.mask[:len(xd)]
-	for i, v := range xd {
+	od := out.Data()
+	for i, v := range x.Data() {
 		if v > 0 {
 			od[i] = v
-			r.mask[i] = true
 		} else {
 			od[i] = 0
-			r.mask[i] = false
 		}
 	}
 	return out
 }
 
-// Backward implements Layer. The mask is applied to the incoming
-// gradient in place — every producer upstream hands this layer a
-// buffer it owns and overwrites on its next backward, so the fused
-// zero-allocation form is safe (Tap snapshots its gradient precisely
-// because of this).
+// Backward implements Layer. It masks on the layer's own train-mode
+// output, which is positive exactly where the input was (a NaN input
+// maps to 0), so no separate mask is kept; every consumer of the
+// output only reads it. The mask is applied to the incoming gradient
+// in place — every producer upstream hands this layer a buffer it owns
+// and overwrites on its next backward, so the fused zero-allocation
+// form is safe (Tap snapshots its gradient precisely because of this).
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	gd := grad.Data()
-	for i, m := range r.mask {
-		if !m {
+	for i, v := range r.outBuf.Data()[:len(gd)] {
+		if !(v > 0) {
 			gd[i] = 0
 		}
 	}

@@ -36,15 +36,43 @@ type Conv2D struct {
 	// Steady-state buffers: the output and input-gradient tensors are
 	// grow-only per-layer caches (training-mode only for the output, so
 	// inference callers may hold results across calls) and the weight
-	// matrix views are built once. im2col panels are never kept between
-	// passes: both directions lower each image into a pooled per-chunk
-	// buffer, so a layer holds no batch-sized column storage.
+	// matrix views are built once. Column panels are never kept between
+	// passes: a product the direct path takes reads a pooled per-chunk
+	// zero-padded copy of the image or gradient, and any other product
+	// lowers each image into a pooled per-chunk im2col buffer, so a
+	// layer holds no batch-sized column storage.
 	outBuf    *tensor.Tensor
 	gradInBuf *tensor.Tensor
 	wMat      *tensor.Tensor
 	gWMat     *tensor.Tensor
 	fwd       *convFwdScratch
 	bwd       *convBwdScratch
+
+	// The direct stride-1 path for the last input geometry: its gates
+	// and tap tables are built once per geometry; wT holds the
+	// tap-major weights its input gradient reads.
+	direct           *tensor.DirectConv
+	directH, directW int
+	wT               []float32
+}
+
+// convForceIm2Col pins every conv product to the im2col + GEMM
+// lowering; tests flip it to compare the direct path against that
+// reference.
+var convForceIm2Col bool
+
+// directConv returns the direct path for an h×w input, or nil when
+// every product keeps the im2col lowering. A nil plan is cheap to
+// recompute, so only a non-nil one is kept.
+func (c *Conv2D) directConv(h, w int) *tensor.DirectConv {
+	if convForceIm2Col {
+		return nil
+	}
+	if c.direct == nil || c.directH != h || c.directW != w {
+		c.direct = tensor.NewDirectConv(c.inC, c.outC, h, w, c.kh, c.kw, c.stride, c.pad)
+		c.directH, c.directW = h, w
+	}
+	return c.direct
 }
 
 // convFwdScratch caches the per-chunk forward tensor headers (im2col
@@ -139,6 +167,19 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	colLen := tensor.ColBufLen(c.inC, h, w, c.kh, c.kw, c.stride, c.pad)
 
 	chunks := convBwdChunks(n)
+	if dc := c.directConv(h, w); dc != nil && dc.Fwd {
+		tensor.ParallelChunksIndexed(n, chunks, batchWorkerCount(), func(_, lo, hi int) {
+			xpad := tensor.GetF32Zeroed(dc.PadLen())
+			for i := lo; i < hi; i++ {
+				od := out.Data()[i*outLen : (i+1)*outLen]
+				dc.PadInput(x.Data()[i*imgLen:(i+1)*imgLen], xpad)
+				dc.Forward(xpad, wMat.Data(), od)
+				c.addBias(od)
+			}
+			tensor.PutF32(xpad)
+		})
+		return out
+	}
 	fs := c.fwd
 	if fs == nil || fs.n != n || fs.h != h || fs.w != w {
 		fs = &convFwdScratch{
@@ -157,30 +198,36 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			tensor.Im2Col(img, c.inC, h, w, c.kh, c.kw, c.stride, c.pad, col)
 			dst.Rebind(out.Data()[i*outLen : (i+1)*outLen])
 			tensor.MatMulInto(dst, wMat, colT)
-			if c.Bias != nil {
-				bd := c.Bias.W.Data()
-				od := dst.Data()
-				for oc := 0; oc < c.outC; oc++ {
-					b := bd[oc]
-					row := od[oc*oh*ow : (oc+1)*oh*ow]
-					for j := range row {
-						row[j] += b
-					}
-				}
-			}
+			c.addBias(dst.Data())
 		}
 		tensor.PutF32(col)
 	})
 	return out
 }
 
+// addBias adds the per-channel bias to one image's outC×P output.
+func (c *Conv2D) addBias(od []float32) {
+	if c.Bias == nil {
+		return
+	}
+	p := len(od) / c.outC
+	for oc, b := range c.Bias.W.Data() {
+		row := od[oc*p : (oc+1)*p]
+		for j := range row {
+			row[j] += b
+		}
+	}
+}
+
 // Backward implements Layer. The batch is partitioned into a fixed
 // number of chunks (a function of the batch size only); each chunk
 // accumulates its weight-gradient contribution into a private slot and
 // the slots are tree-reduced in fixed order, so the result is
-// bit-identical at any worker count. Each image is re-lowered with
-// im2col into a pooled per-chunk buffer for the weight-gradient GEMM
-// (the same values the forward computed); everything else is pooled or
+// bit-identical at any worker count. Each gradient product the direct
+// path takes reads a pooled per-chunk zero-padded copy of the image or
+// output gradient; any other product re-lowers the image with im2col
+// into a pooled per-chunk buffer (the same values the forward
+// computed) and runs its GEMM. Everything else is pooled or
 // layer-cached, so the steady state allocates nothing.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	x := c.lastInput
@@ -194,6 +241,15 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.gradInBuf = tensor.Ensure(c.gradInBuf, n, c.inC, h, w)
 	gradIn := c.gradInBuf
 	wMat, gWMat := c.weightViews()
+	dc := c.directConv(h, w)
+	dataDirect := dc != nil && dc.Data
+	weightDirect := dc != nil && dc.Weight
+	if dataDirect {
+		if len(c.wT) != c.outC*ckk {
+			c.wT = make([]float32, c.outC*ckk)
+		}
+		dc.WeightsByTap(c.Weight.W.Data(), c.wT)
+	}
 
 	chunks := convBwdChunks(n)
 	slotLen := c.outC * ckk
@@ -224,10 +280,20 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 
 	tensor.ParallelChunksIndexed(n, chunks, batchWorkerCount(), func(idx, lo, hi int) {
-		col := tensor.GetF32(colLen)
-		colT := bindMat(&sc.colT[idx], col, ckk, oh*ow)
-		gradColData := tensor.GetF32(ckk * oh * ow)
-		gradCol := bindMat(&sc.gradCol[idx], gradColData, ckk, oh*ow)
+		var col, xpad, gradColData, gpad []float32
+		var colT, gradCol *tensor.Tensor
+		if weightDirect {
+			xpad = tensor.GetF32Zeroed(dc.PadLen())
+		} else {
+			col = tensor.GetF32(colLen)
+			colT = bindMat(&sc.colT[idx], col, ckk, oh*ow)
+		}
+		if dataDirect {
+			gpad = tensor.GetF32Zeroed(dc.GradPadLen())
+		} else {
+			gradColData = tensor.GetF32(ckk * oh * ow)
+			gradCol = bindMat(&sc.gradCol[idx], gradColData, ckk, oh*ow)
+		}
 		tmpGWData := tensor.GetF32(c.outC * ckk)
 		tmpGW := bindMat(&sc.tmpGW[idx], tmpGWData, c.outC, ckk)
 		localGW := bindMat(&sc.localGW[idx], slotBuf[idx*slotLen:(idx+1)*slotLen], c.outC, ckk)
@@ -239,26 +305,39 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		first := true
 		for i := lo; i < hi; i++ {
 			img := x.Data()[i*imgLen : (i+1)*imgLen]
-			tensor.Im2Col(img, c.inC, h, w, c.kh, c.kw, c.stride, c.pad, col)
 			g.Rebind(grad.Data()[i*outLen : (i+1)*outLen])
 
 			// dW_slot += g · colᵀ; the first item writes straight into
 			// the slot (it was zeroed), later items go via scratch.
+			gw := tmpGW
 			if first {
-				tensor.MatMulABTInto(localGW, g, colT)
+				gw = localGW
+			}
+			if weightDirect {
+				dc.PadInput(img, xpad)
+				dc.WeightGrad(xpad, g.Data(), gw.Data())
+			} else {
+				tensor.Im2Col(img, c.inC, h, w, c.kh, c.kw, c.stride, c.pad, col)
+				tensor.MatMulABTInto(gw, g, colT)
+			}
+			if first {
 				first = false
 			} else {
-				tensor.MatMulABTInto(tmpGW, g, colT)
 				localGW.AddScaled(tmpGW, 1)
 			}
 
-			// dCol = Wᵀ · g, scattered back to the input image.
-			tensor.MatMulATBInto(gradCol, wMat, g)
+			// dX = Col2Im(Wᵀ · g), or its direct equivalent.
 			dst := gradIn.Data()[i*imgLen : (i+1)*imgLen]
-			for j := range dst {
-				dst[j] = 0
+			if dataDirect {
+				dc.PadGrad(g.Data(), gpad)
+				dc.InputGrad(gpad, c.wT, dst)
+			} else {
+				tensor.MatMulATBInto(gradCol, wMat, g)
+				for j := range dst {
+					dst[j] = 0
+				}
+				tensor.Col2Im(gradCol.Data(), c.inC, h, w, c.kh, c.kw, c.stride, c.pad, dst)
 			}
-			tensor.Col2Im(gradCol.Data(), c.inC, h, w, c.kh, c.kw, c.stride, c.pad, dst)
 
 			if c.Bias != nil {
 				gd := g.Data()
@@ -273,7 +352,9 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 		tensor.PutF32(col)
+		tensor.PutF32(xpad)
 		tensor.PutF32(gradColData)
+		tensor.PutF32(gpad)
 		tensor.PutF32(tmpGWData)
 	})
 

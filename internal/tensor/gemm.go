@@ -72,16 +72,34 @@ var gemmDotABT func(m, n, k int, a []float32, lda int, b []float32, ldb int, c [
 // summation order depend only on the shape.
 var gemmAxpyB func(m, n, k int, a []float32, rsA, csA int, b []float32, ldb int, c []float32)
 
+// gemmTakesNaive reports whether the MatMul entry points bypass gemm
+// for the naive kernels on an m×k·k×n product.
+func gemmTakesNaive(m, n, k int) bool { return m*n*k < gemmMinFlops }
+
+// gemmTakesDot reports whether gemm routes a shape to gemmDotABT. The
+// direct convolution gate (conv_direct.go) calls the same predicates,
+// so it accepts a shape only where its kernels reproduce gemm's
+// per-element operation sequence.
+func gemmTakesDot(m, n, k, csA, rsB int) bool {
+	return gemmDotABT != nil && csA == 1 && rsB == 1 && m <= 8 && m*n <= 1024 && k >= 64
+}
+
+// gemmTakesAxpy reports whether gemm routes a shape that gemmTakesDot
+// rejected to gemmAxpyB.
+func gemmTakesAxpy(m, n, k, csB int) bool {
+	return gemmAxpyB != nil && csB == 1 && n >= 64 && (m <= 16 || k <= 16)
+}
+
 // gemm computes C = op(A)·op(B) into c (m×n, row-major, fully
 // overwritten). op(A) is m×k with element (i,p) at a[i*rsA+p*csA];
 // op(B) is k×n with element (p,j) at b[p*rsB+j*csB].
 func gemm(m, n, k int, a []float32, rsA, csA int, b []float32, rsB, csB int, c []float32) {
 	c = c[:m*n]
-	if gemmDotABT != nil && csA == 1 && rsB == 1 && m <= 8 && m*n <= 1024 && k >= 64 {
+	if gemmTakesDot(m, n, k, csA, rsB) {
 		gemmDotABT(m, n, k, a, rsA, b, csB, c)
 		return
 	}
-	if gemmAxpyB != nil && csB == 1 && n >= 64 && (m <= 16 || k <= 16) {
+	if gemmTakesAxpy(m, n, k, csB) {
 		gemmAxpyB(m, n, k, a, rsA, csA, b, rsB, c)
 		return
 	}

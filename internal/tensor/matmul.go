@@ -26,7 +26,7 @@ func MatMulInto(dst, a, b *Tensor) {
 	if k != k2 || dm != m || dn != n {
 		panic("tensor: matmul shape mismatch")
 	}
-	if m*n*k < gemmMinFlops {
+	if gemmTakesNaive(m, n, k) {
 		matMulNaiveInto(dst, a, b)
 		return
 	}
@@ -42,7 +42,7 @@ func MatMulATBInto(dst, a, b *Tensor) {
 	if k != k2 || dm != m || dn != n {
 		panic("tensor: matmulATB shape mismatch")
 	}
-	if m*n*k < gemmMinFlops {
+	if gemmTakesNaive(m, n, k) {
 		matMulNaiveATBInto(dst, a, b)
 		return
 	}
@@ -58,7 +58,7 @@ func MatMulABTInto(dst, a, b *Tensor) {
 	if k != k2 || dm != m || dn != n {
 		panic("tensor: matmulABT shape mismatch")
 	}
-	if m*n*k < gemmMinFlops {
+	if gemmTakesNaive(m, n, k) {
 		matMulNaiveABTInto(dst, a, b)
 		return
 	}
