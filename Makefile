@@ -106,10 +106,13 @@ bench-serve:
 check-bench:
 	$(GO) run ./cmd/benchjson -check BENCH_*.json
 
-## vet: static checks plus a cross-compile of the portable (non-AVX2)
-## code paths — the asm files are amd64-gated, so arm64 must build pure Go —
-## plus the committed-benchmark schema check and the race suite over the
-## concurrent engines.
+## vet: a gofmt check (fails when `gofmt -l .` lists any file), static
+## checks, plus a cross-compile of the portable (non-AVX2) code paths — the
+## asm files are amd64-gated, so arm64 must build pure Go — plus the
+## committed-benchmark schema check and the race suite over the concurrent
+## engines.
 vet: check-bench test-race
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...

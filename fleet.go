@@ -7,8 +7,6 @@ import (
 
 	"rowhammer/internal/campaign"
 	"rowhammer/internal/campaign/server"
-	"rowhammer/internal/core"
-	"rowhammer/internal/memsys"
 )
 
 // FleetModule is one deployment in a fleet sweep: a simulated DRAM
@@ -77,35 +75,19 @@ func RunFleet(v *Victim, off *Offline, modules []FleetModule, cfg FleetConfig) (
 	if len(modules) == 0 {
 		return nil, fmt.Errorf("rowhammer: fleet has no modules")
 	}
-	cleanFile, err := victimWeightFile(v)
+	file, reqs, err := attackInputs(v, off)
 	if err != nil {
 		return nil, err
 	}
-	reqs := core.RequirementsFromCodes(off.inner.OrigCodes, off.inner.BackdooredCodes)
-	filePages := len(cleanFile) / memsys.PageSize
-
 	jobs := make([]campaign.Job, len(modules))
 	for i, m := range modules {
-		dev, err := m.Hardware.resolveDevice()
+		job, err := m.Hardware.spec(file, reqs).Job(i)
 		if err != nil {
 			return nil, fmt.Errorf("rowhammer: fleet module %d: %w", i, err)
 		}
-		name := m.Name
-		if name == "" {
-			name = dev.Name
-		}
-		jobs[i] = campaign.Job{
-			Name:       name,
-			WeightFile: cleanFile,
-			Reqs:       reqs,
-			Module: campaign.ModuleSpec{
-				Device:    dev,
-				SizeBytes: orInt(m.Hardware.ModuleMB, 192) << 20,
-				Seed:      orI64(m.Hardware.Seed, 7),
-				Fault:     m.Hardware.faultModel(),
-			},
-			Online: m.Hardware.onlineConfig(filePages),
-		}
+		// An unnamed campaign is labeled by its device alone.
+		job.Name = or(m.Name, job.Module.Device.Name)
+		jobs[i] = job
 	}
 
 	ccfg := campaign.Config{

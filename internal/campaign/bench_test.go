@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rowhammer/internal/core"
+	"rowhammer/internal/profile"
 )
 
 // benchFleet builds the 16-campaign/4-SKU sweep the campaign engine is
@@ -35,7 +36,7 @@ func benchFleet(b *testing.B, shared bool) []Job {
 			if !shared {
 				seed = int64(1000 + len(jobs))
 			}
-			file, reqs := syntheticWorkload(64, int64(10*si+v))
+			file, reqs := profile.SyntheticWorkload(64, int64(10*si+v))
 			jobs = append(jobs, Job{
 				Name:       fmt.Sprintf("%s-v%d", s.dev, v),
 				WeightFile: file,

@@ -22,6 +22,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -51,6 +52,20 @@ type ModuleSpec struct {
 // geometry resolves the spec to the standard 16-bank layout.
 func (s ModuleSpec) geometry() dram.Geometry {
 	return dram.GeometryForSize(s.SizeBytes, 16)
+}
+
+// NewSystem builds a pristine module of the spec's identity with its
+// fault model installed — the single-module form HammerOnline and
+// ServeUnderFire template and attack in one piece. (Installing the zero
+// fault model is a no-op.)
+func (s ModuleSpec) NewSystem() (*memsys.System, error) {
+	mod, err := dram.NewModule(s.geometry(), s.Device, s.Seed)
+	if err != nil {
+		return nil, err
+	}
+	sys := memsys.NewSystem(mod)
+	sys.InjectFaults(s.Fault)
+	return sys, nil
 }
 
 // SKU names the spec's stock-keeping unit (device + capacity class).
@@ -256,7 +271,9 @@ func systemFor(mod *dram.Module, rec *memsys.Recycler) *memsys.System {
 	return memsys.NewSystem(mod)
 }
 
-// Validate rejects jobs the engine cannot execute canonically.
+// Validate rejects jobs the engine cannot execute canonically, and
+// fault knobs or flip requirements that cannot apply to the job's
+// module and weight file.
 func (j Job) Validate() error {
 	if j.Online.Profile != nil {
 		return fmt.Errorf("campaign: job %q pre-sets Online.Profile; the engine owns template injection", j.Name)
@@ -266,6 +283,32 @@ func (j Job) Validate() error {
 	}
 	if j.Module.SizeBytes <= 0 {
 		return fmt.Errorf("campaign: job %q has no module size", j.Name)
+	}
+	if len(j.WeightFile) == 0 || len(j.WeightFile)%memsys.PageSize != 0 {
+		return fmt.Errorf("campaign: job %q: weight file must be a non-empty multiple of %d bytes, got %d",
+			j.Name, memsys.PageSize, len(j.WeightFile))
+	}
+	// The negated range tests also catch NaN.
+	if f := j.Module.Fault; !(f.FlipFailProb >= 0 && f.FlipFailProb <= 1) {
+		return fmt.Errorf("campaign: job %q: flip failure probability %v outside [0, 1]", j.Name, f.FlipFailProb)
+	} else if !(f.TRRJitter >= 0 && f.TRRJitter <= math.MaxFloat64) {
+		return fmt.Errorf("campaign: job %q: TRR jitter %v is not a finite value ≥ 0", j.Name, f.TRRJitter)
+	}
+	pages := len(j.WeightFile) / memsys.PageSize
+	for _, r := range j.Reqs {
+		if r.FilePage < 0 || r.FilePage >= pages {
+			return fmt.Errorf("campaign: job %q: requirement on file page %d outside [0, %d)", j.Name, r.FilePage, pages)
+		}
+		for _, c := range r.Flips {
+			switch {
+			case c.Offset < 0 || c.Offset >= memsys.PageSize:
+				return fmt.Errorf("campaign: job %q: page %d flip offset %d outside [0, %d)", j.Name, r.FilePage, c.Offset, memsys.PageSize)
+			case c.Bit < 0 || c.Bit >= 8:
+				return fmt.Errorf("campaign: job %q: page %d flip bit %d outside [0, 8)", j.Name, r.FilePage, c.Bit)
+			case c.Dir != dram.ZeroToOne && c.Dir != dram.OneToZero:
+				return fmt.Errorf("campaign: job %q: page %d flip direction %d is neither 0→1 nor 1→0", j.Name, r.FilePage, c.Dir)
+			}
+		}
 	}
 	return nil
 }

@@ -13,33 +13,7 @@ import (
 	"rowhammer/internal/dram"
 	"rowhammer/internal/memsys"
 	"rowhammer/internal/profile"
-	"rowhammer/internal/tensor"
 )
-
-// syntheticWorkload builds a random weight file and one single-flip
-// requirement per eighth page, direction chosen so the flip is
-// observable against the stored bit.
-func syntheticWorkload(filePages int, seed int64) ([]byte, []profile.PageRequirement) {
-	rng := tensor.NewRNG(seed)
-	file := make([]byte, filePages*memsys.PageSize)
-	for i := range file {
-		file[i] = byte(rng.Intn(256))
-	}
-	var reqs []profile.PageRequirement
-	for fp := 0; fp < filePages; fp += 8 {
-		off := rng.Intn(memsys.PageSize)
-		bit := rng.Intn(8)
-		dir := dram.ZeroToOne
-		if file[fp*memsys.PageSize+off]&(1<<bit) != 0 {
-			dir = dram.OneToZero
-		}
-		reqs = append(reqs, profile.PageRequirement{
-			FilePage: fp,
-			Flips:    []profile.CellFlip{{Offset: off, Bit: bit, Dir: dir}},
-		})
-	}
-	return file, reqs
-}
 
 // tableIDevice returns the named Table I device profile.
 func tableIDevice(t testing.TB, name string) dram.DeviceProfile {
@@ -72,7 +46,7 @@ func testFleet(t *testing.T) []Job {
 			online.Rounds = 3
 			online.Escalation = 2
 		}
-		file, reqs := syntheticWorkload(128, int64(100+i))
+		file, reqs := profile.SyntheticWorkload(128, int64(100+i))
 		jobs = append(jobs, Job{
 			Name:       fmt.Sprintf("camp-%d", i),
 			WeightFile: file,
@@ -185,7 +159,7 @@ func TestWarmCacheIdentity(t *testing.T) {
 // fault model, the two-stage (template, rewind, attack) flow corrupts
 // the file exactly as core.ExecuteOnline does in one pass.
 func TestNoFaultCampaignMatchesPlainExecuteOnline(t *testing.T) {
-	file, reqs := syntheticWorkload(32, 9)
+	file, reqs := profile.SyntheticWorkload(32, 9)
 	job := Job{
 		Name:       "pin",
 		WeightFile: file,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -242,17 +243,32 @@ func TestSKUAggregationAcrossFleets(t *testing.T) {
 }
 
 // TestSubmitRejectsBadSpecs exercises validation through the HTTP
-// surface: malformed JSON, empty fleets, unknown devices and misaligned
-// weight files must all 400 without leaving state behind.
+// surface: malformed JSON, empty fleets, unknown devices, misaligned
+// weight files, requirements outside the one-page weight file and fault
+// knobs outside their range must all 400 without leaving state behind.
 func TestSubmitRejectsBadSpecs(t *testing.T) {
 	s, hs := testServer(t, t.TempDir(), 1)
 	defer hs.Close()
 	defer s.Close()
+	page := `"WeightFile":"` + base64.StdEncoding.EncodeToString(make([]byte, 4096)) + `"`
+	withReq := func(req string) string { return `{"Jobs":[{` + page + `,"Reqs":[` + req + `]}]}` }
 	bad := []string{
 		`{not json`,
 		`{}`,
 		`{"Jobs":[{"WeightFile":"aGk=","Module":{"Device":"nope"}}]}`,
 		`{"Jobs":[{"WeightFile":"aGk=","Online":{"BufferPages":64}}]}`, // 2 bytes: misaligned
+		withReq(`{"FilePage":1048576,"Flips":[{"Offset":0,"Bit":0,"Dir":1}]}`),
+		withReq(`{"FilePage":-1,"Flips":[{"Offset":0,"Bit":0,"Dir":1}]}`),
+		withReq(`{"FilePage":1,"Flips":[{"Offset":0,"Bit":0,"Dir":1}]}`),
+		withReq(`{"FilePage":0,"Flips":[{"Offset":99999,"Bit":0,"Dir":1}]}`),
+		withReq(`{"FilePage":0,"Flips":[{"Offset":-1,"Bit":0,"Dir":1}]}`),
+		withReq(`{"FilePage":0,"Flips":[{"Offset":0,"Bit":40,"Dir":1}]}`),
+		withReq(`{"FilePage":0,"Flips":[{"Offset":0,"Bit":-1,"Dir":2}]}`),
+		withReq(`{"FilePage":0,"Flips":[{"Offset":0,"Bit":0,"Dir":0}]}`),
+		withReq(`{"FilePage":0,"Flips":[{"Offset":0,"Bit":0,"Dir":3}]}`),
+		`{"Jobs":[{` + page + `,"Module":{"FlipFailProb":1.5}}]}`,
+		`{"Jobs":[{` + page + `,"Module":{"FlipFailProb":-0.5}}]}`,
+		`{"Jobs":[{` + page + `,"Module":{"TRRJitter":-0.1}}]}`,
 	}
 	for _, body := range bad {
 		resp, err := http.Post(hs.URL+"/v1/fleets", "application/json", strings.NewReader(body))
@@ -261,7 +277,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("spec %q: HTTP %d, want 400", body, resp.StatusCode)
+			t.Fatalf("spec %.200q: HTTP %d, want 400", body, resp.StatusCode)
 		}
 	}
 	var fleets []FleetStatus

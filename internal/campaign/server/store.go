@@ -43,11 +43,11 @@ type persistedFleet struct {
 	SeedKeys []string
 }
 
-func fleetsRoot(dir string) string          { return filepath.Join(dir, "fleets") }
-func fleetDir(dir, id string) string        { return filepath.Join(fleetsRoot(dir), id) }
-func fleetSpecPath(dir, id string) string   { return filepath.Join(fleetDir(dir, id), "fleet.json") }
-func resultsPath(dir, id string) string     { return filepath.Join(fleetDir(dir, id), "results.jsonl") }
-func summaryPath(dir, id string) string     { return filepath.Join(fleetDir(dir, id), "summary.json") }
+func fleetsRoot(dir string) string        { return filepath.Join(dir, "fleets") }
+func fleetDir(dir, id string) string      { return filepath.Join(fleetsRoot(dir), id) }
+func fleetSpecPath(dir, id string) string { return filepath.Join(fleetDir(dir, id), "fleet.json") }
+func resultsPath(dir, id string) string   { return filepath.Join(fleetDir(dir, id), "results.jsonl") }
+func summaryPath(dir, id string) string   { return filepath.Join(fleetDir(dir, id), "summary.json") }
 
 // writeJSONFile writes v as JSON via a temp file + rename so a crash
 // mid-write never leaves a torn spec or summary behind.

@@ -8,7 +8,6 @@ import (
 	"rowhammer/internal/dram"
 	"rowhammer/internal/memsys"
 	"rowhammer/internal/profile"
-	"rowhammer/internal/tensor"
 )
 
 // FleetSpec is the wire form of one submitted fleet: a named batch of
@@ -80,18 +79,6 @@ type OnlineSpec struct {
 	MaxBufferPages   int
 }
 
-// resolveDevice maps a device name to its profile.
-func (m ModuleSpec) resolveDevice() (dram.DeviceProfile, error) {
-	if m.Device == "" {
-		return dram.PaperDDR3(), nil
-	}
-	p, ok := dram.ProfileByName(m.Device)
-	if !ok {
-		return dram.DeviceProfile{}, fmt.Errorf("unknown device %q", m.Device)
-	}
-	return p, nil
-}
-
 // Resolve turns the spec into the engine's job list. Resolution is a
 // pure function of the spec — the resume path depends on a reloaded
 // spec producing the identical jobs (and therefore identical template
@@ -102,73 +89,76 @@ func (s FleetSpec) Resolve() ([]campaign.Job, error) {
 	}
 	out := make([]campaign.Job, len(s.Jobs))
 	for i, js := range s.Jobs {
-		dev, err := js.Module.resolveDevice()
+		job, err := js.Job(i)
 		if err != nil {
 			return nil, fmt.Errorf("job %d: %w", i, err)
 		}
-		if len(js.WeightFile) == 0 || len(js.WeightFile)%memsys.PageSize != 0 {
-			return nil, fmt.Errorf("job %d: weight file must be a non-empty multiple of %d bytes, got %d",
-				i, memsys.PageSize, len(js.WeightFile))
-		}
-		name := js.Name
-		if name == "" {
-			name = fmt.Sprintf("%s-%d", dev.Name, i)
-		}
-		sizeMB := js.Module.SizeMB
-		if sizeMB == 0 {
-			sizeMB = 192
-		}
-		seed := js.Module.Seed
-		if seed == 0 {
-			seed = 7
-		}
-		var fault dram.FaultModel
-		if js.Module.FlipFailProb > 0 || js.Module.TRRJitter > 0 {
-			fault = dram.FaultModel{
-				FlipFailProb: js.Module.FlipFailProb,
-				TRRJitter:    js.Module.TRRJitter,
-				Seed:         js.Module.FaultSeed,
-			}
-			if fault.Seed == 0 {
-				fault.Seed = 1
-			}
-		}
-		ocfg := core.DefaultOnlineConfig(len(js.WeightFile) / memsys.PageSize)
-		if js.Online.BufferPages != 0 {
-			ocfg.BufferPages = js.Online.BufferPages
-		}
-		if js.Online.Sides != 0 {
-			ocfg.Sides = js.Online.Sides
-		}
-		if js.Online.Intensity != 0 {
-			ocfg.Intensity = js.Online.Intensity
-		}
-		ocfg.MeasureSeed = js.Online.MeasureSeed
-		if ocfg.MeasureSeed == 0 {
-			ocfg.MeasureSeed = 7
-		}
-		ocfg.Rounds = js.Online.Rounds
-		ocfg.Escalation = js.Online.Escalation
-		ocfg.RetemplatePasses = js.Online.RetemplatePasses
-		ocfg.MaxBufferPages = js.Online.MaxBufferPages
-
-		out[i] = campaign.Job{
-			Name:       name,
-			WeightFile: js.WeightFile,
-			Reqs:       js.Reqs,
-			Module: campaign.ModuleSpec{
-				Device:    dev,
-				SizeBytes: sizeMB << 20,
-				Seed:      seed,
-				Fault:     fault,
-			},
-			Online: ocfg,
-		}
-		if err := out[i].Validate(); err != nil {
-			return nil, fmt.Errorf("job %d: %w", i, err)
-		}
+		out[i] = job
 	}
 	return out, nil
+}
+
+// Job resolves one job spec into the engine's terms and validates it.
+// This is the one path from a module and online description to a
+// campaign.Job: campaignd's fleets and the public HammerOnline,
+// ServeUnderFire and RunFleet front ends all come through it. Device
+// names map to Table I profiles (empty = the paper's DDR3 module) and
+// every zero knob takes its documented default: 192 MB, module seed 7,
+// measure seed 7, fault seed 1 once any fault knob is set, and
+// core.DefaultOnlineConfig for the rest. An unnamed job is called
+// "<device>-<index>". Resolution is pure.
+func (js JobSpec) Job(index int) (campaign.Job, error) {
+	dev := dram.PaperDDR3()
+	if js.Module.Device != "" {
+		p, ok := dram.ProfileByName(js.Module.Device)
+		if !ok {
+			return campaign.Job{}, fmt.Errorf("unknown device %q", js.Module.Device)
+		}
+		dev = p
+	}
+	name := js.Name
+	if name == "" {
+		name = fmt.Sprintf("%s-%d", dev.Name, index)
+	}
+	// A NaN or negative knob leaves the model non-zero, so Validate sees
+	// and rejects it.
+	fault := dram.FaultModel{FlipFailProb: js.Module.FlipFailProb, TRRJitter: js.Module.TRRJitter}
+	if fault != (dram.FaultModel{}) {
+		fault.Seed = or(js.Module.FaultSeed, 1)
+	}
+	on := js.Online
+	ocfg := core.DefaultOnlineConfig(len(js.WeightFile) / memsys.PageSize)
+	ocfg.BufferPages = or(on.BufferPages, ocfg.BufferPages)
+	ocfg.Sides = or(on.Sides, ocfg.Sides)
+	ocfg.Intensity = or(on.Intensity, ocfg.Intensity)
+	ocfg.MeasureSeed = or(on.MeasureSeed, 7)
+	ocfg.Rounds = on.Rounds
+	ocfg.Escalation = on.Escalation
+	ocfg.RetemplatePasses = on.RetemplatePasses
+	ocfg.MaxBufferPages = on.MaxBufferPages
+
+	job := campaign.Job{
+		Name:       name,
+		WeightFile: js.WeightFile,
+		Reqs:       js.Reqs,
+		Module: campaign.ModuleSpec{
+			Device:    dev,
+			SizeBytes: or(js.Module.SizeMB, 192) << 20,
+			Seed:      or(js.Module.Seed, 7),
+			Fault:     fault,
+		},
+		Online: ocfg,
+	}
+	return job, job.Validate()
+}
+
+// or returns v, or def when v is the zero value.
+func or[T comparable](v, def T) T {
+	var zero T
+	if v == zero {
+		return def
+	}
+	return v
 }
 
 // FleetStatus is the wire form of GET /v1/fleets/{id}.
@@ -217,7 +207,7 @@ func DemoFleet(campaignsPerSKU int) FleetSpec {
 	n := 0
 	for _, sku := range skus {
 		for c := 0; c < campaignsPerSKU; c++ {
-			file, reqs := syntheticWorkload(128, int64(100+n))
+			file, reqs := profile.SyntheticWorkload(128, int64(100+n))
 			spec.Jobs = append(spec.Jobs, JobSpec{
 				Name:       fmt.Sprintf("demo-%s-%d", sku.device, c),
 				WeightFile: file,
@@ -232,29 +222,4 @@ func DemoFleet(campaignsPerSKU int) FleetSpec {
 		}
 	}
 	return spec
-}
-
-// syntheticWorkload builds a random weight file and one single-flip
-// requirement per eighth page, direction chosen so the flip is
-// observable against the stored bit.
-func syntheticWorkload(filePages int, seed int64) ([]byte, []profile.PageRequirement) {
-	rng := tensor.NewRNG(seed)
-	file := make([]byte, filePages*memsys.PageSize)
-	for i := range file {
-		file[i] = byte(rng.Intn(256))
-	}
-	var reqs []profile.PageRequirement
-	for fp := 0; fp < filePages; fp += 8 {
-		off := rng.Intn(memsys.PageSize)
-		bit := rng.Intn(8)
-		dir := dram.ZeroToOne
-		if file[fp*memsys.PageSize+off]&(1<<bit) != 0 {
-			dir = dram.OneToZero
-		}
-		reqs = append(reqs, profile.PageRequirement{
-			FilePage: fp,
-			Flips:    []profile.CellFlip{{Offset: off, Bit: bit, Dir: dir}},
-		})
-	}
-	return file, reqs
 }

@@ -401,7 +401,7 @@ func TestOfflineQuantVsFloatEval(t *testing.T) {
 			nflip = pages
 		}
 		cfg := attackConfig(nflip)
-		cfg.Float32Eval = float32Eval
+		cfg.float32Eval = float32Eval
 		out, err := RunOffline(model, res.Test.Head(64), cfg)
 		if err != nil {
 			t.Fatal(err)

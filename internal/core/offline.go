@@ -62,24 +62,19 @@ type Config struct {
 	// WrapLoss, when non-nil, wraps every greedy-refinement loss
 	// evaluation; a defense-aware attacker uses it to apply a recovery
 	// transformation (e.g. weight reconstruction) before measuring, so
-	// the kept flips survive the defense.
-	WrapLoss func(eval func() float32) float32
-	// Float32Eval forces the constraint-enforcement loss evaluations
-	// onto the fp32 graph. By default the greedy refinement scores
-	// candidate flips on the native int8 engine — the representation the
-	// deployed victim actually runs — which is also markedly faster.
-	// WrapLoss implies fp32 evaluation regardless: recovery
-	// transformations mutate model floats directly, bypassing the
-	// quantizer's codes the int8 engine executes.
-	Float32Eval bool
-	// FullForwardRefine forces every refinement loss evaluation onto
-	// full forward passes, disabling the incremental suffix scorer. By
-	// default (int8 evaluation, no WrapLoss) candidate flips score on a
+	// the kept flips survive the defense. WrapLoss implies fp32
+	// evaluation, since recovery transformations mutate model floats
+	// directly, bypassing the quantizer's codes the int8 engine executes.
+	// Without it candidate flips score on the native int8 engine — the
+	// representation the deployed victim actually runs — through a
 	// quant.Scorer that caches per-layer activations and recomputes only
-	// the layers at and after the flip — bit-identical to the full
-	// forwards, just faster. This knob pins the reference path for the
-	// determinism suite and A/B benchmarks.
-	FullForwardRefine bool
+	// the layers at and after the flip, bit-identical to full forwards.
+	WrapLoss func(eval func() float32) float32
+	// float32Eval and fullForwardRefine are test seams pinning the
+	// reference paths: fp32 refinement evaluation, and full int8
+	// forwards instead of the suffix scorer.
+	float32Eval       bool
+	fullForwardRefine bool
 	// ScoreWorkers bounds how many candidate flips the suffix scorer
 	// evaluates concurrently (0 uses the kernel parallelism bound).
 	// Scheduling only: the refinement reduces candidate losses in fixed
@@ -227,10 +222,10 @@ func RunOffline(model *nn.Model, attackSet *data.Dataset, cfg Config) (*Result, 
 	}
 
 	// The greedy refinement's loss evaluations run on the int8 engine
-	// unless the caller opted out or installed a WrapLoss recovery hook
-	// (which mutates floats behind the quantizer's back).
+	// unless a test pins fp32 or the caller installed a WrapLoss recovery
+	// hook (which mutates floats behind the quantizer's back).
 	var qm *quant.QModel
-	if !cfg.Float32Eval && cfg.WrapLoss == nil {
+	if !cfg.float32Eval && cfg.WrapLoss == nil {
 		qm = quant.NewQModel(q)
 	}
 
@@ -274,7 +269,7 @@ func RunOffline(model *nn.Model, attackSet *data.Dataset, cfg Config) (*Result, 
 	// and rescans only the layers at and after each candidate flip —
 	// bit-identical to full forwards at any worker count.
 	var scorer *quant.Scorer
-	if qm != nil && !cfg.FullForwardRefine {
+	if qm != nil && !cfg.fullForwardRefine {
 		scorer = quant.NewScorer(qm, refineBatch.clean, refineBatch.trig,
 			refineBatch.labels, refineTargets, cfg.Alpha)
 		scorer.SetWorkers(cfg.ScoreWorkers)
@@ -440,7 +435,7 @@ func groupBounds(nw, nflip int) ([][2]int, error) {
 // strict-< replacement — exactly the sequence the lossFn loop evaluates
 // — so the kept flips are byte-identical at any worker count. With
 // scorer == nil (fp32 evaluation, WrapLoss recovery hooks, or the
-// FullForwardRefine reference path) every option is scored by lossFn
+// fullForwardRefine reference path) every option is scored by lossFn
 // full forwards instead.
 func enforceConstraints(q *quant.Quantizer, orig []int8, groups [][2]int, cfg Config, lossFn func() float32, scorer *quant.Scorer) {
 	q.Requantize()

@@ -60,10 +60,10 @@ func compareResults(t *testing.T, label string, base, out *Result) {
 
 // TestRefinementSuffixMatchesFullForward pins the suffix scorer's
 // end-to-end contract: the attack output with incremental suffix scoring
-// must be byte-identical to the FullForwardRefine reference path, at any
+// must be byte-identical to the fullForwardRefine reference path, at any
 // scorer worker count.
 func TestRefinementSuffixMatchesFullForward(t *testing.T) {
-	ref := runOfflineRefine(t, func(c *Config) { c.FullForwardRefine = true })
+	ref := runOfflineRefine(t, func(c *Config) { c.fullForwardRefine = true })
 	if ref.NFlip == 0 {
 		t.Fatal("fixture applied no flips; the comparison would be vacuous")
 	}
@@ -79,7 +79,7 @@ func TestRefinementSuffixMatchesFullForward(t *testing.T) {
 // candidate through BitReduceMasked and shifts the kept codes.
 func TestRefinementSuffixWithForbiddenMask(t *testing.T) {
 	ref := runOfflineRefine(t, func(c *Config) {
-		c.FullForwardRefine = true
+		c.fullForwardRefine = true
 		c.ForbiddenBitMask = 0x80
 	})
 	out := runOfflineRefine(t, func(c *Config) {

@@ -1,5 +1,7 @@
 package dram
 
+import "rowhammer/internal/splitmix"
+
 // FaultModel makes weak-cell firing probabilistic, modeling the online
 // phase's real-world stochasticity: TRR sampling luck, rare flippy
 // cells that need several hammer passes, and temperature/voltage drift
@@ -63,23 +65,12 @@ func (m *Module) nextPassLocked(bank, row int) uint64 {
 	return p
 }
 
-// mix64 is the splitmix64 finalizer — the same bijective scrambler
-// newCellRNG uses. Chaining it over the key components keeps every
-// fault stream decorrelated from its (bank, row, pass, bit) neighbors.
-func mix64(x uint64) uint64 {
-	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
-	x = (x ^ x>>27) * 0x94D049BB133111EB
-	return x ^ x>>31
-}
-
-const splitmixGamma = 0x9E3779B97F4A7C15
-
 // faultUniform draws one uniform in [0, 1) from the counter-based fault
 // stream. bit is the cell's BitInRow, or −1 for per-row draws (the TRR
 // jitter).
 func faultUniform(seed int64, bank, row int, pass uint64, bit int) float64 {
-	h := mix64(uint64(seed) + splitmixGamma*uint64(uint32(bank)+1))
-	h = mix64(h ^ (uint64(uint32(row)) + splitmixGamma))
-	h = mix64(h ^ (pass*splitmixGamma + uint64(int64(bit)+2)))
+	h := splitmix.Mix(uint64(seed) + splitmix.Gamma*uint64(uint32(bank)+1))
+	h = splitmix.Mix(h ^ (uint64(uint32(row)) + splitmix.Gamma))
+	h = splitmix.Mix(h ^ (pass*splitmix.Gamma + uint64(int64(bit)+2)))
 	return float64(h>>11) / (1 << 53)
 }

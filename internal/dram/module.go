@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"rowhammer/internal/splitmix"
 	"rowhammer/internal/tensor"
 )
 
@@ -276,13 +277,13 @@ func (m *Module) weakCells(bank, row int) []WeakCell {
 		m.seenBits = make([]uint64, RowBytes*8/64)
 	}
 	for len(cells) < count {
-		bit := rng.intn(RowBytes * 8)
+		bit := int(rng.Next() % (RowBytes * 8)) // exact: a power-of-two bound
 		if m.seenBits[bit/64]&(1<<(bit%64)) != 0 {
 			continue
 		}
 		m.seenBits[bit/64] |= 1 << (bit % 64)
 		dir := ZeroToOne
-		if rng.float64() < 0.5 {
+		if rng.Float64() < 0.5 {
 			dir = OneToZero
 		}
 		// Thresholds live in [weakThresholdFloor, 1): a full double-sided
@@ -293,7 +294,7 @@ func (m *Module) weakCells(bank, row int) []WeakCell {
 		cells = append(cells, WeakCell{
 			BitInRow:  bit,
 			Dir:       dir,
-			Threshold: weakThresholdFloor + weakThresholdSpan*rng.float64(),
+			Threshold: weakThresholdFloor + weakThresholdSpan*rng.Float64(),
 		})
 	}
 	for _, c := range cells {
@@ -319,43 +320,22 @@ const (
 	weakThresholdSpan  = 0.45
 )
 
-// cellRNG is a splitmix64 stream for weak-cell generation. Keying one
-// costs a single add, versus the ~6 µs lagged-Fibonacci seeding of
+// newCellRNG starts the weak-cell splitmix64 stream of one row. Keying
+// one costs a single mix, versus the ~6 µs lagged-Fibonacci seeding of
 // math/rand — which, at one fresh generator per row, used to dominate
-// whole-buffer profiling wall-clock.
-type cellRNG uint64
-
-// newCellRNG scrambles the row key through the splitmix finalizer
-// before using it as a stream start. Without this, key streams that
-// differ by a multiple of the additive constant are shifted windows of
-// one another — adjacent rows would sample near-identical cell
-// positions, collapsing flip diversity across the buffer. The same
-// finalized-key rule applies to every RNG keyed off structured
-// coordinates in this package: the fault-injection streams in fault.go
-// chain the identical finalizer over (seed, bank, row, pass, bit) for
-// the same reason.
-func newCellRNG(key uint64) cellRNG {
-	key = (key ^ key>>30) * 0xBF58476D1CE4E5B9
-	key = (key ^ key>>27) * 0x94D049BB133111EB
-	return cellRNG(key ^ key>>31)
-}
-
-func (r *cellRNG) next() uint64 {
-	*r += 0x9E3779B97F4A7C15
-	z := uint64(*r)
-	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-	z = (z ^ z>>27) * 0x94D049BB133111EB
-	return z ^ z>>31
-}
-
-func (r *cellRNG) float64() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// intn is exact (bias-free) for the power-of-two bounds used here.
-func (r *cellRNG) intn(n int) int { return int(r.next() % uint64(n)) }
+// whole-buffer profiling wall-clock. The key goes through the finalizer
+// before it becomes the stream start: without this, key streams that
+// differ by a multiple of Gamma are shifted windows of one another —
+// adjacent rows would sample near-identical cell positions, collapsing
+// flip diversity across the buffer. The same finalized-key rule applies
+// to every RNG keyed off structured coordinates in this package: the
+// fault-injection streams in fault.go chain the identical finalizer
+// over (seed, bank, row, pass, bit) for the same reason.
+func newCellRNG(key uint64) splitmix.Stream { return splitmix.Stream(splitmix.Mix(key)) }
 
 // poisson samples a Poisson variate by inversion (adequate for the
 // λ ≤ ~250 this simulator uses).
-func poisson(rng *cellRNG, lambda float64) int {
+func poisson(rng *splitmix.Stream, lambda float64) int {
 	if lambda <= 0 {
 		return 0
 	}
@@ -363,7 +343,7 @@ func poisson(rng *cellRNG, lambda float64) int {
 	k := 0
 	p := 1.0
 	for {
-		p *= rng.float64()
+		p *= rng.Float64()
 		if p <= l {
 			return k
 		}

@@ -150,8 +150,8 @@ func (m *Module) ResidentPages() int {
 	return m.store.resident
 }
 
-// ArenaBytes reports the bytes of arena slabs allocated so far (a high
-//-water mark: demoted cells are recycled, not returned to the OS).
+// ArenaBytes reports the bytes of arena slabs allocated so far (a
+// high-water mark: demoted cells are recycled, not returned to the OS).
 func (m *Module) ArenaBytes() int {
 	m.store.storeMu.Lock()
 	defer m.store.storeMu.Unlock()

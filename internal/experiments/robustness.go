@@ -5,7 +5,6 @@ import (
 	"rowhammer/internal/dram"
 	"rowhammer/internal/memsys"
 	"rowhammer/internal/profile"
-	"rowhammer/internal/tensor"
 )
 
 // RobustnessRow is one (flip-failure rate, round budget) cell of the
@@ -27,31 +26,6 @@ type RobustnessRow struct {
 	RMatch float64
 }
 
-// robustnessWorkload builds a page-aligned synthetic weight file and
-// single-flip page requirements (the CFT+BR shape: one flip per page,
-// spread across distinct pages), deterministic in seed.
-func robustnessWorkload(filePages int, seed int64) ([]byte, []profile.PageRequirement) {
-	rng := tensor.NewRNG(seed)
-	file := make([]byte, filePages*memsys.PageSize)
-	for i := range file {
-		file[i] = byte(rng.Intn(256))
-	}
-	var reqs []profile.PageRequirement
-	for fp := 0; fp < filePages; fp += 8 {
-		off := rng.Intn(memsys.PageSize)
-		bit := rng.Intn(8)
-		dir := dram.ZeroToOne
-		if file[fp*memsys.PageSize+off]&(1<<bit) != 0 {
-			dir = dram.OneToZero
-		}
-		reqs = append(reqs, profile.PageRequirement{
-			FilePage: fp,
-			Flips:    []profile.CellFlip{{Offset: off, Bit: bit, Dir: dir}},
-		})
-	}
-	return file, reqs
-}
-
 // Robustness sweeps the robust online engine across flip-failure rates
 // and round budgets on the paper-scale templating buffer. Budgets > 1
 // also enable budget-doubling escalation and two adaptive re-templating
@@ -66,7 +40,7 @@ func Robustness(s Scale, failRates []float64, budgets []int) ([]RobustnessRow, e
 		budgets = []int{1, 5}
 	}
 	const filePages = 256
-	file, reqs := robustnessWorkload(filePages, s.Seed)
+	file, reqs := profile.SyntheticWorkload(filePages, s.Seed)
 
 	var rows []RobustnessRow
 	for _, fail := range failRates {

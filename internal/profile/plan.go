@@ -2,9 +2,11 @@ package profile
 
 import (
 	"fmt"
-
-	"rowhammer/internal/memsys"
 	"sort"
+
+	"rowhammer/internal/dram"
+	"rowhammer/internal/memsys"
+	"rowhammer/internal/tensor"
 )
 
 // PageRequirement lists the bit flips a single weight-file page needs.
@@ -16,6 +18,34 @@ type PageRequirement struct {
 	FilePage int
 	// Flips are the required cell flips within that page.
 	Flips []CellFlip
+}
+
+// SyntheticWorkload builds a random page-aligned weight file of
+// filePages pages and one single-flip requirement per eighth page (the
+// CFT+BR shape: one flip per page, spread across distinct pages), each
+// direction chosen so the flip is observable against the stored bit.
+// Deterministic in seed; the demo fleet, the robustness sweep and the
+// fleet tests all draw from it.
+func SyntheticWorkload(filePages int, seed int64) ([]byte, []PageRequirement) {
+	rng := tensor.NewRNG(seed)
+	file := make([]byte, filePages*memsys.PageSize)
+	for i := range file {
+		file[i] = byte(rng.Intn(256))
+	}
+	var reqs []PageRequirement
+	for fp := 0; fp < filePages; fp += 8 {
+		off := rng.Intn(memsys.PageSize)
+		bit := rng.Intn(8)
+		dir := dram.ZeroToOne
+		if file[fp*memsys.PageSize+off]&(1<<bit) != 0 {
+			dir = dram.OneToZero
+		}
+		reqs = append(reqs, PageRequirement{
+			FilePage: fp,
+			Flips:    []CellFlip{{Offset: off, Bit: bit, Dir: dir}},
+		})
+	}
+	return file, reqs
 }
 
 // Placement is the online-phase plan: where each file page goes and

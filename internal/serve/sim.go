@@ -1,6 +1,10 @@
 package serve
 
-import "sort"
+import (
+	"sort"
+
+	"rowhammer/internal/splitmix"
+)
 
 // The ServeReport timeline must be deterministic for a fixed seed at
 // any worker count, but real queue/latency measurements depend on the
@@ -12,23 +16,6 @@ import "sort"
 // cost model. Hot-swap publishes show up as an initial executor stall.
 // Real wall-clock numbers are still collected (LiveStats) — they feed
 // the benchmarks, never the report.
-
-// splitmix64 is the deterministic stream generator (same construction
-// as the side-channel and fault streams elsewhere in the repo).
-type splitmix64 struct{ s uint64 }
-
-func (r *splitmix64) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// float returns a uniform draw in [0, 1).
-func (r *splitmix64) float() float64 {
-	return float64(r.next()>>11) / float64(uint64(1)<<53)
-}
 
 // SimConfig parameterizes one simulated measurement window.
 type SimConfig struct {
@@ -98,11 +85,11 @@ type SimResult struct {
 // output on every platform and at any real worker count.
 func Simulate(cfg SimConfig) SimResult {
 	cfg = cfg.withDefaults()
-	rng := splitmix64{s: uint64(cfg.Seed)*2862933555777941757 + 3037000493}
+	rng := splitmix.Stream(uint64(cfg.Seed)*2862933555777941757 + 3037000493)
 	arrivals := make([]int64, cfg.Requests)
 	t := int64(0)
 	for i := range arrivals {
-		gap := cfg.MeanArrivalNs/2 + int64(rng.float()*float64(cfg.MeanArrivalNs))
+		gap := cfg.MeanArrivalNs/2 + int64(rng.Float64()*float64(cfg.MeanArrivalNs))
 		t += gap
 		arrivals[i] = t
 	}

@@ -8,6 +8,7 @@ import (
 	"rowhammer/internal/defense"
 	"rowhammer/internal/metrics"
 	"rowhammer/internal/quant"
+	"rowhammer/internal/splitmix"
 	"rowhammer/internal/tensor"
 )
 
@@ -149,7 +150,7 @@ func RunUnderFire(f Fire, attack func(apply func(round int, mapped []byte)) erro
 	cleanCodes := append([]int8(nil), q.CodesView()...)
 	ev := metrics.NewEvaluator(f.Engine)
 	dd := &defense.DeepDyve{Main: f.Engine, Checker: f.Checker}
-	rng := splitmix64{s: uint64(cfg.Seed)*0x9e3779b97f4a7c15 + 0x1234567}
+	rng := splitmix.Stream(uint64(cfg.Seed)*splitmix.Gamma + 0x1234567)
 
 	rep := &ServeReport{Degraded: srv.Degraded(), DetectionWindow: -1, DetectionLagQueries: -1}
 
@@ -235,7 +236,7 @@ func RunUnderFire(f Fire, attack func(apply func(round int, mapped []byte)) erro
 // for whether it carries the trigger; alarms are checker disagreements.
 // The stream state (rng) persists across windows, so the sequence of
 // queries is one continuous deterministic request log.
-func replayAlarmRate(dd *defense.DeepDyve, eval *data.Dataset, trigger *data.Trigger, rng *splitmix64, cfg FireConfig) float64 {
+func replayAlarmRate(dd *defense.DeepDyve, eval *data.Dataset, trigger *data.Trigger, rng *splitmix.Stream, cfg FireConfig) float64 {
 	c, h, w := eval.ImageSize()
 	sample := c * h * w
 	alarms := 0
@@ -246,8 +247,8 @@ func replayAlarmRate(dd *defense.DeepDyve, eval *data.Dataset, trigger *data.Tri
 		}
 		var clean, triggered []int
 		for i := 0; i < chunk; i++ {
-			idx := int(rng.next() % uint64(eval.Len()))
-			if trigger != nil && rng.float() < cfg.TriggerFraction {
+			idx := int(rng.Next() % uint64(eval.Len()))
+			if trigger != nil && rng.Float64() < cfg.TriggerFraction {
 				triggered = append(triggered, idx)
 			} else {
 				clean = append(clean, idx)

@@ -27,6 +27,7 @@ import (
 
 	"rowhammer/internal/dram"
 	"rowhammer/internal/memsys"
+	"rowhammer/internal/splitmix"
 	"rowhammer/internal/tensor"
 )
 
@@ -53,15 +54,9 @@ const (
 	streamCluster = 3 // ClusterByBank, counter = (chunk, rep, trial)
 )
 
-// mix64 is the splitmix64 finalizer: a bijective avalanche mix whose
-// output on a counter sequence is statistically indistinguishable from
-// uniform — the standard construction for counter-based RNG streams.
-func mix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
+// mix64 is the splitmix64 finalizer applied one Gamma step past x —
+// the standard construction for counter-based RNG streams.
+func mix64(x uint64) uint64 { return splitmix.Mix(x + splitmix.Gamma) }
 
 // Measurer performs side-channel timing measurements against a
 // simulated system. Measurement noise is deterministic per seed: batch
@@ -86,7 +81,7 @@ func NewMeasurer(sys *memsys.System, seed int64) *Measurer {
 // tails, and roughly 20× cheaper than Box–Muller, which matters because
 // bank clustering draws half a million samples per profiling run.
 func gaussFrom(base, c uint64) float64 {
-	h := mix64(base ^ c*0x9E3779B97F4A7C15)
+	h := mix64(base ^ c*splitmix.Gamma)
 	const inv = 1.0 / (1 << 21)
 	s := float64(h&0x1FFFFF)*inv + float64((h>>21)&0x1FFFFF)*inv + float64(h>>43)*inv
 	return (s - 1.5) * 2

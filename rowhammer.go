@@ -3,13 +3,15 @@ package rowhammer
 import (
 	"fmt"
 
+	"rowhammer/internal/campaign"
+	"rowhammer/internal/campaign/server"
 	"rowhammer/internal/core"
 	"rowhammer/internal/data"
-	"rowhammer/internal/dram"
 	"rowhammer/internal/memsys"
 	"rowhammer/internal/metrics"
 	"rowhammer/internal/models"
 	"rowhammer/internal/pretrain"
+	"rowhammer/internal/profile"
 	"rowhammer/internal/quant"
 	"rowhammer/internal/serve"
 )
@@ -144,13 +146,13 @@ func InjectBackdoor(v *Victim, cfg AttackConfig) (*Offline, error) {
 		}
 	}
 	acfg := core.DefaultConfig(nflip, cfg.TargetClass)
-	acfg.Iterations = orInt(cfg.Iterations, 100)
+	acfg.Iterations = or(cfg.Iterations, 100)
 	acfg.BitReduceEvery = acfg.Iterations / 2
 	if acfg.BitReduceEvery < 1 {
 		acfg.BitReduceEvery = 1
 	}
 	acfg.Eta = 2
-	acfg.Epsilon = orF32(cfg.Epsilon, 0.02)
+	acfg.Epsilon = or(cfg.Epsilon, 0.02)
 	if cfg.Alpha != 0 {
 		acfg.Alpha = cfg.Alpha
 	}
@@ -251,53 +253,57 @@ type Online struct {
 	Rounds []AttackRound
 }
 
-// resolveDevice maps the config's device name to its Table I profile.
-func (hw HardwareConfig) resolveDevice() (dram.DeviceProfile, error) {
-	if hw.Device == "" {
-		return dram.PaperDDR3(), nil
+// spec fills campaignd's wire form with the config — the one canonical
+// form every online entry point resolves through (server.JobSpec.Job),
+// so a HardwareConfig gets exactly the defaults a campaignd submission
+// gets. Seed keys both the weak-cell layout and the measurement noise.
+func (hw HardwareConfig) spec(file []byte, reqs []profile.PageRequirement) server.JobSpec {
+	return server.JobSpec{
+		WeightFile: file,
+		Reqs:       reqs,
+		Module: server.ModuleSpec{
+			Device:       hw.Device,
+			SizeMB:       hw.ModuleMB,
+			Seed:         hw.Seed,
+			FlipFailProb: hw.FlipFailProb,
+			TRRJitter:    hw.TRRJitter,
+			FaultSeed:    hw.FaultSeed,
+		},
+		Online: server.OnlineSpec{
+			Sides:            hw.Sides,
+			MeasureSeed:      hw.Seed,
+			Rounds:           hw.Rounds,
+			Escalation:       hw.Escalation,
+			RetemplatePasses: hw.RetemplatePasses,
+		},
 	}
-	p, ok := dram.ProfileByName(hw.Device)
-	if !ok {
-		return dram.DeviceProfile{}, fmt.Errorf("rowhammer: unknown device %q", hw.Device)
-	}
-	return p, nil
 }
 
-// faultModel builds the config's fault model (zero value when no fault
-// knob is set).
-func (hw HardwareConfig) faultModel() dram.FaultModel {
-	if hw.FlipFailProb <= 0 && hw.TRRJitter <= 0 {
-		return dram.FaultModel{}
-	}
-	return dram.FaultModel{
-		FlipFailProb: hw.FlipFailProb,
-		TRRJitter:    hw.TRRJitter,
-		Seed:         orI64(hw.FaultSeed, 1),
-	}
-}
-
-// onlineConfig resolves the config into the online engine's terms for a
-// weight file of filePages pages.
-func (hw HardwareConfig) onlineConfig(filePages int) core.OnlineConfig {
-	ocfg := core.DefaultOnlineConfig(filePages)
-	if hw.Sides != 0 {
-		ocfg.Sides = hw.Sides
-	}
-	ocfg.MeasureSeed = orI64(hw.Seed, 7)
-	ocfg.Rounds = hw.Rounds
-	ocfg.Escalation = hw.Escalation
-	ocfg.RetemplatePasses = hw.RetemplatePasses
-	return ocfg
-}
-
-// victimWeightFile quantizes a fresh clone of the victim into its
-// deployed weight-file bytes.
-func victimWeightFile(v *Victim) ([]byte, error) {
+// attackInputs returns what every online entry point attacks: the
+// victim's clean deployed weight file and the offline phase's per-page
+// flip requirements.
+func attackInputs(v *Victim, off *Offline) ([]byte, []profile.PageRequirement, error) {
 	clean, err := pretrain.CloneModel(v.cfg, v.result.Model)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return quant.NewQuantizer(clean).WeightFileBytes(), nil
+	file := quant.NewQuantizer(clean).WeightFileBytes()
+	return file, core.RequirementsFromCodes(off.inner.OrigCodes, off.inner.BackdooredCodes), nil
+}
+
+// singleModule resolves hw for the victim's attack and builds the one
+// module HammerOnline and ServeUnderFire both template and attack.
+func singleModule(v *Victim, off *Offline, hw HardwareConfig) (campaign.Job, *memsys.System, error) {
+	file, reqs, err := attackInputs(v, off)
+	if err != nil {
+		return campaign.Job{}, nil, err
+	}
+	job, err := hw.spec(file, reqs).Job(0)
+	if err != nil {
+		return campaign.Job{}, nil, fmt.Errorf("rowhammer: %w", err)
+	}
+	sys, err := job.Module.NewSystem()
+	return job, sys, err
 }
 
 // wrapOnline lifts the internal online result into the public shape.
@@ -327,26 +333,11 @@ func wrapOnline(res *core.OnlineResult) *Online {
 // the victim map its weight file, hammer, and read back the corrupted
 // file.
 func HammerOnline(v *Victim, off *Offline, hw HardwareConfig) (*Online, error) {
-	profileDev, err := hw.resolveDevice()
+	job, sys, err := singleModule(v, off, hw)
 	if err != nil {
 		return nil, err
 	}
-	moduleMB := orInt(hw.ModuleMB, 192)
-	mod, err := dram.NewModuleForSize(moduleMB<<20, profileDev, orI64(hw.Seed, 7))
-	if err != nil {
-		return nil, err
-	}
-	sys := memsys.NewSystem(mod)
-	if f := hw.faultModel(); f != (dram.FaultModel{}) {
-		sys.InjectFaults(f)
-	}
-
-	cleanFile, err := victimWeightFile(v)
-	if err != nil {
-		return nil, err
-	}
-	reqs := core.RequirementsFromCodes(off.inner.OrigCodes, off.inner.BackdooredCodes)
-	res, err := core.ExecuteOnline(sys, cleanFile, reqs, hw.onlineConfig(len(cleanFile)/memsys.PageSize))
+	res, err := core.ExecuteOnline(sys, job.WeightFile, job.Reqs, job.Online)
 	if err != nil {
 		return nil, err
 	}
@@ -471,20 +462,7 @@ type ServeTimeline struct {
 // measurement window recording live TA/ASR, the DeepDyve alarm rate
 // over a deterministic replay stream, and simulated service quality.
 func ServeUnderFire(v *Victim, off *Offline, hw HardwareConfig, opts ServeOptions) (*ServeTimeline, error) {
-	profileDev, err := hw.resolveDevice()
-	if err != nil {
-		return nil, err
-	}
-	moduleMB := orInt(hw.ModuleMB, 192)
-	mod, err := dram.NewModuleForSize(moduleMB<<20, profileDev, orI64(hw.Seed, 7))
-	if err != nil {
-		return nil, err
-	}
-	sys := memsys.NewSystem(mod)
-	if f := hw.faultModel(); f != (dram.FaultModel{}) {
-		sys.InjectFaults(f)
-	}
-	cleanFile, err := victimWeightFile(v)
+	job, sys, err := singleModule(v, off, hw)
 	if err != nil {
 		return nil, err
 	}
@@ -500,19 +478,18 @@ func ServeUnderFire(v *Victim, off *Offline, hw HardwareConfig, opts ServeOption
 	// The DeepDyve checker: a small model trained on the same task with
 	// a different seed, served int8 so the whole protocol runs on
 	// concurrency-safe engines.
+	checkerSeed := or(opts.CheckerSeed, v.seed+1000)
+	checkerCfg := models.Config{Arch: "resnet20", Classes: v.cfg.Classes, WidthMult: 0.25, Seed: checkerSeed}
 	checkerRes, err := pretrain.TrainCached(pretrain.Config{
-		Model: models.Config{Arch: "resnet20", Classes: v.cfg.Classes,
-			WidthMult: 0.25, Seed: orI64(opts.CheckerSeed, v.seed+1000)},
+		Model:  checkerCfg,
 		Data:   v.dcfg,
 		Epochs: v.epochs,
-		Seed:   orI64(opts.CheckerSeed, v.seed+1000),
+		Seed:   checkerSeed,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("rowhammer: training checker: %w", err)
 	}
-	checkerModel, err := pretrain.CloneModel(
-		models.Config{Arch: "resnet20", Classes: v.cfg.Classes, WidthMult: 0.25,
-			Seed: orI64(opts.CheckerSeed, v.seed+1000)}, checkerRes.Model)
+	checkerModel, err := pretrain.CloneModel(checkerCfg, checkerRes.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -525,24 +502,23 @@ func ServeUnderFire(v *Victim, off *Offline, hw HardwareConfig, opts ServeOption
 		Trigger: off.Trigger,
 		Target:  off.target,
 		Serve: serve.Config{
-			BatchMax: orInt(opts.BatchMax, 32),
-			Workers:  orInt(opts.Workers, 1),
+			BatchMax: or(opts.BatchMax, 32),
+			Workers:  or(opts.Workers, 1),
 		},
 		Cfg: serve.FireConfig{
-			Seed:            orI64(opts.Seed, orI64(hw.Seed, 7)),
+			Seed:            or(opts.Seed, job.Online.MeasureSeed),
 			ReplayQueries:   opts.ReplayQueries,
 			TriggerFraction: opts.TriggerFraction,
 			LiveClients:     opts.LiveClients,
 		},
 	}
 
-	reqs := core.RequirementsFromCodes(off.inner.OrigCodes, off.inner.BackdooredCodes)
 	var onres *core.OnlineResult
 	rep, live, err := serve.RunUnderFire(fire, func(apply func(round int, mapped []byte)) error {
-		ocfg := hw.onlineConfig(len(cleanFile) / memsys.PageSize)
+		ocfg := job.Online
 		ocfg.AfterRound = apply
 		var aerr error
-		onres, aerr = core.ExecuteOnline(sys, cleanFile, reqs, ocfg)
+		onres, aerr = core.ExecuteOnline(sys, job.WeightFile, job.Reqs, ocfg)
 		return aerr
 	})
 	if err != nil {
@@ -572,22 +548,10 @@ func ServeUnderFire(v *Victim, off *Offline, hw HardwareConfig, opts ServeOption
 	return tl, nil
 }
 
-func orInt(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
-}
-
-func orF32(v, def float32) float32 {
-	if v == 0 {
-		return def
-	}
-	return v
-}
-
-func orI64(v, def int64) int64 {
-	if v == 0 {
+// or returns v, or def when v is the zero value.
+func or[T comparable](v, def T) T {
+	var zero T
+	if v == zero {
 		return def
 	}
 	return v
