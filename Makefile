@@ -110,9 +110,15 @@ check-bench:
 ## checks, plus a cross-compile of the portable (non-AVX2) code paths — the
 ## asm files are amd64-gated, so arm64 must build pure Go — plus the
 ## committed-benchmark schema check and the race suite over the concurrent
-## engines.
+## engines. On an AVX2 host it also reruns the elementwise kernel identity
+## tests built with GOAMD64=v3, where the compiler may use FMA: they fail
+## if it ever fuses a portable twin's multiply and add (DESIGN §12).
 vet: check-bench test-race
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) build ./...
+	@if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then \
+		echo "GOAMD64=v3 $(GO) test -run 'Elementwise|BNAffine|BNSums|BatchNormMatches' ./internal/tensor ./internal/nn"; \
+		GOAMD64=v3 $(GO) test -count=1 -run 'Elementwise|BNAffine|BNSums|BatchNormMatches' ./internal/tensor ./internal/nn; \
+	else echo "vet: no AVX2 CPU, skipping the GOAMD64=v3 kernel identity tests"; fi

@@ -7,6 +7,7 @@ import (
 	"rowhammer/internal/data"
 	"rowhammer/internal/models"
 	"rowhammer/internal/nn"
+	"rowhammer/internal/pretrain"
 	"rowhammer/internal/tensor"
 )
 
@@ -18,7 +19,11 @@ import (
 // trainer_sequential entries time one full CFT+BR iteration's gradient
 // work (a clean and a triggered term, one shard, as RunOffline runs
 // them) as one ForwardBackwardPair and as two sequential
-// ForwardBackward calls.
+// ForwardBackward calls. Those entries feed Gaussian noise to an
+// untrained net, so every ReLU sign is a coin flip; trainer_pair_victim
+// times the same pair on what RunOffline really sees: the trained
+// reference victim (rowhammer.TrainVictim's defaults at seed 1) on its
+// 32-image attack batch and that batch with the trigger stamped.
 func BenchmarkTrainStep(b *testing.B) {
 	x := tensor.New(32, 3, 32, 32)
 	tensor.NewRNG(1).FillNormal(x, 0, 1)
@@ -104,6 +109,35 @@ func BenchmarkTrainStep(b *testing.B) {
 			}
 		})
 	}
+
+	b.Run("trainer_pair_victim", func(b *testing.B) {
+		mcfg := models.Config{Arch: "resnet20", Classes: 10, WidthMult: 0.25, Seed: 1}
+		res, err := pretrain.TrainCached(pretrain.Config{Model: mcfg, Data: data.SynthCIFAR(0, 1), Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := pretrain.CloneModel(mcfg, res.Model)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nn.FreezeBatchNorm(m.Root)
+		batch := res.Test.Head(32).Batches(32)[0]
+		trig := batch.Images.Clone()
+		data.NewSquareTrigger(3, 32, 32, DefaultConfig(1, 2).TriggerSize).Apply(trig)
+		tr := nn.NewTrainer(m, nn.DefaultTrainShards)
+		step := func() {
+			m.ZeroGrad()
+			tr.ForwardBackwardPair(batch.Images, batch.Labels, 0.5, trig, targets, 0.5)
+		}
+		for i := 0; i < 2; i++ {
+			step()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step()
+		}
+	})
 }
 
 // BenchmarkOfflineAttack is the full RunOffline wall-clock at the

@@ -14,22 +14,20 @@ func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward implements Layer. An eval-mode forward writes no layer state.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	var out *tensor.Tensor
-	if train {
-		r.outBuf = tensor.Ensure(r.outBuf, x.Shape()...)
-		out = r.outBuf
-	} else {
-		out = tensor.New(x.Shape()...)
-	}
-	od := out.Data()
-	for i, v := range x.Data() {
-		if v > 0 {
-			od[i] = v
-		} else {
-			od[i] = 0
-		}
-	}
+	out := r.output(x.Shape(), train)
+	tensor.ReLU(out.Data(), x.Data())
 	return out
+}
+
+// output returns the tensor a forward writes: in training mode the
+// layer's grow-only buffer, which Backward masks on, otherwise a fresh
+// tensor.
+func (r *ReLU) output(shape []int, train bool) *tensor.Tensor {
+	if !train {
+		return tensor.New(shape...)
+	}
+	r.outBuf = tensor.Ensure(r.outBuf, shape...)
+	return r.outBuf
 }
 
 // Backward implements Layer. It masks on the layer's own train-mode
@@ -40,12 +38,7 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // and overwrites on its next backward, so the fused zero-allocation
 // form is safe (Tap snapshots its gradient precisely because of this).
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	gd := grad.Data()
-	for i, v := range r.outBuf.Data()[:len(gd)] {
-		if !(v > 0) {
-			gd[i] = 0
-		}
-	}
+	tensor.ReLUBackward(grad.Data(), r.outBuf.Data())
 	return grad
 }
 

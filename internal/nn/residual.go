@@ -9,8 +9,9 @@ type Residual struct {
 	Main     Layer
 	Shortcut Layer // nil for identity
 
-	relu   *ReLU
-	sumBuf *tensor.Tensor
+	// relu owns the block's output: the add and the activation run as
+	// one pass into its buffer, and its Backward masks the gradient.
+	relu *ReLU
 }
 
 var _ Layer = (*Residual)(nil)
@@ -28,15 +29,12 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if r.Shortcut != nil {
 		short = r.Shortcut.Forward(x, train)
 	}
-	var sum *tensor.Tensor
-	if train {
-		r.sumBuf = tensor.Ensure(r.sumBuf, main.Shape()...)
-		sum = r.sumBuf
-	} else {
-		sum = tensor.New(main.Shape()...)
+	if !main.SameShape(short) {
+		panic("nn: residual branch shapes differ")
 	}
-	tensor.AddInto(sum, main, short)
-	return r.relu.Forward(sum, train)
+	out := r.relu.output(main.Shape(), train)
+	tensor.AddReLU(out.Data(), main.Data(), short.Data())
+	return out
 }
 
 // Backward implements Layer: the post-ReLU gradient flows through both

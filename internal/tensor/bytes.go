@@ -22,10 +22,6 @@ var (
 	fillBytesImpl     = fillBytesGo
 )
 
-// bytesHasAVX2 records whether the assembly byte kernels were selected,
-// for tests and diagnostics.
-var bytesHasAVX2 bool
-
 // IndexMismatchByte returns the index of the first byte of b that
 // differs from v, or -1 when every byte equals v. A clean 4 KB page —
 // the overwhelming majority during templating readback — costs one

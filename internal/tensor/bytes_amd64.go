@@ -2,7 +2,7 @@ package tensor
 
 // Runtime selection of the AVX2 byte kernels. This init runs before
 // gemm_amd64.go's (file order), so it probes CPUID itself instead of
-// reading gemmHasAVX2.
+// reading accelerated.
 
 //go:noescape
 func indexMismatchAsm(p *byte, n int, v byte) int
@@ -14,7 +14,6 @@ func init() {
 	if !cpuSupportsAVX2FMA() {
 		return
 	}
-	bytesHasAVX2 = true
 	indexMismatchImpl = indexMismatchAVX2
 	fillBytesImpl = fillBytesAVX2
 }

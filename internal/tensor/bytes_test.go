@@ -65,7 +65,7 @@ func TestIndexMismatchMatchesNaive(t *testing.T) {
 		if got := indexMismatchGo(c.buf, c.v); got != want {
 			t.Fatalf("indexMismatchGo(len=%d, v=%#x) = %d, want %d", len(c.buf), c.v, got, want)
 		}
-		if bytesHasAVX2 {
+		if accelerated {
 			if len(c.buf) == 0 {
 				continue
 			}

@@ -34,13 +34,11 @@ func TestDirectConvGatesFollowGemmDispatch(t *testing.T) {
 }
 
 // TestDirectConvFallsBackOnPortableKernels forces the portable kernel
-// set a CPU without AVX2 selects, as TestGemmPortableKernelMatchesNaive
-// does, and checks that every gate closes: the direct kernels mirror
-// the AVX2 GEMM paths, so without those paths nothing may run direct.
+// set a CPU without AVX2 selects and checks that every gate closes: the
+// direct kernels mirror the AVX2 GEMM paths, so without those paths
+// nothing may run direct.
 func TestDirectConvFallsBackOnPortableKernels(t *testing.T) {
-	mr, nr, mc, kern, dot, axpy := gemmMR, gemmNR, gemmMC, gemmKernel, gemmDotABT, gemmAxpyB
-	defer func() { gemmMR, gemmNR, gemmMC, gemmKernel, gemmDotABT, gemmAxpyB = mr, nr, mc, kern, dot, axpy }()
-	gemmMR, gemmNR, gemmMC, gemmKernel, gemmDotABT, gemmAxpyB = 2, 4, 64, gemmKernel2x4, nil, nil
+	defer ForcePortableKernels()()
 
 	for _, s := range convStages {
 		for _, oc := range []int{s.c, 2 * s.c} {

@@ -17,15 +17,11 @@ func dotKernel1x4Asm(k16 int, a, b0, b1, b2, b3, dst *float32)
 //go:noescape
 func saxpyKernelAsm(n32 int, alpha float32, x, y *float32)
 
-// gemmHasAVX2 records whether the assembly kernel was selected, for
-// tests and diagnostics.
-var gemmHasAVX2 bool
-
 func init() {
 	if !cpuSupportsAVX2FMA() {
 		return
 	}
-	gemmHasAVX2 = true
+	accelerated = true
 	gemmMR, gemmNR = 6, 16
 	gemmMC = 96 // 16 six-row panels per L2 block
 	gemmKernel = gemmKernelAVX2

@@ -11,15 +11,10 @@ func gemmI8Kernel4x16Asm(kc2 int, ap, bp *int16, c *int32, ldc int)
 //go:noescape
 func packBPanelI8Asm(dst *int16, b *int8, ldb, npairs int)
 
-// gemmI8HasAVX2 records whether the assembly kernel was selected, for
-// tests and diagnostics.
-var gemmI8HasAVX2 bool
-
 func init() {
 	if !cpuSupportsAVX2FMA() {
 		return
 	}
-	gemmI8HasAVX2 = true
 	gemmI8MR, gemmI8NR = 4, 16
 	gemmI8Kernel = gemmI8KernelAVX2
 	packBPanelFast = packBPanelI8Asm

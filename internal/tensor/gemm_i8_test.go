@@ -67,12 +67,11 @@ func TestGemmI8MatchesNaive(t *testing.T) {
 	}
 }
 
-// TestGemmI8PortableKernel forces the pure-Go 2×4 kernel so both kernel
-// paths are exercised regardless of host CPU.
+// TestGemmI8PortableKernel forces the portable kernel set (the pure-Go
+// 2×4 kernel and packing) so both kernel paths are exercised regardless
+// of host CPU.
 func TestGemmI8PortableKernel(t *testing.T) {
-	mr, nr, kern := gemmI8MR, gemmI8NR, gemmI8Kernel
-	gemmI8MR, gemmI8NR, gemmI8Kernel = 2, 4, gemmI8Kernel2x4
-	defer func() { gemmI8MR, gemmI8NR, gemmI8Kernel = mr, nr, kern }()
+	defer ForcePortableKernels()()
 	checkGemmI8(t, 33, 600, 1100)
 	checkGemmI8(t, 5, 17, 9)
 }

@@ -159,14 +159,12 @@ func TestGemmParallelMatchesSerial(t *testing.T) {
 	assertGemmClose(t, "pool parallel", par, serial)
 }
 
-// TestGemmPortableKernelMatchesNaive forces the pure-Go 2×4 fallback
-// micro-kernel (regardless of what init() selected for this CPU) so the
-// portable path keeps its coverage on machines where the assembly
-// kernel is active.
+// TestGemmPortableKernelMatchesNaive forces the portable kernel set
+// (the pure-Go 2×4 micro-kernel, no AVX2 fast paths), regardless of
+// what init() selected for this CPU, so the portable path keeps its
+// coverage on machines where the assembly kernels are active.
 func TestGemmPortableKernelMatchesNaive(t *testing.T) {
-	mr, nr, mc, kern := gemmMR, gemmNR, gemmMC, gemmKernel
-	defer func() { gemmMR, gemmNR, gemmMC, gemmKernel = mr, nr, mc, kern }()
-	gemmMR, gemmNR, gemmMC, gemmKernel = 2, 4, 64, gemmKernel2x4
+	defer ForcePortableKernels()()
 
 	rng := NewRNG(77)
 	for _, dims := range [][3]int{{1, 1, 1}, {2, 8, 4}, {5, 17, 9}, {65, 257, 33}, {64, 256, 64}} {

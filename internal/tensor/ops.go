@@ -2,34 +2,6 @@ package tensor
 
 import "math"
 
-// AddInto computes dst = a + b elementwise. All three tensors must share
-// a shape; dst may alias a or b.
-func AddInto(dst, a, b *Tensor) {
-	checkSame3(dst, a, b)
-	da, db, dd := a.data, b.data, dst.data
-	for i := range dd {
-		dd[i] = da[i] + db[i]
-	}
-}
-
-// SubInto computes dst = a - b elementwise.
-func SubInto(dst, a, b *Tensor) {
-	checkSame3(dst, a, b)
-	da, db, dd := a.data, b.data, dst.data
-	for i := range dd {
-		dd[i] = da[i] - db[i]
-	}
-}
-
-// MulInto computes dst = a * b elementwise.
-func MulInto(dst, a, b *Tensor) {
-	checkSame3(dst, a, b)
-	da, db, dd := a.data, b.data, dst.data
-	for i := range dd {
-		dd[i] = da[i] * db[i]
-	}
-}
-
 // Scale multiplies every element of t by s in place.
 func (t *Tensor) Scale(s float32) {
 	for i := range t.data {
@@ -37,13 +9,11 @@ func (t *Tensor) Scale(s float32) {
 	}
 }
 
-// AddScaled adds s*o to t in place (axpy). Shapes must match.
+// AddScaled adds s*o to t in place (axpy): a multiply, then an add,
+// never fused. Shapes must match.
 func (t *Tensor) AddScaled(o *Tensor, s float32) {
 	checkSame2(t, o)
-	td, od := t.data, o.data
-	for i := range td {
-		td[i] += s * od[i]
-	}
+	axpy(t.data, o.data, s)
 }
 
 // Clamp limits every element of t to [lo, hi] in place.
@@ -136,12 +106,6 @@ func (t *Tensor) Norm2() float32 {
 
 func checkSame2(a, b *Tensor) {
 	if !a.SameShape(b) {
-		panic("tensor: shape mismatch")
-	}
-}
-
-func checkSame3(a, b, c *Tensor) {
-	if !a.SameShape(b) || !a.SameShape(c) {
 		panic("tensor: shape mismatch")
 	}
 }

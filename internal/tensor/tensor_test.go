@@ -74,24 +74,31 @@ func TestReshapeSharesStorage(t *testing.T) {
 }
 
 func TestElementwiseOps(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4}, 4)
-	b := FromSlice([]float32{10, 20, 30, 40}, 4)
-	dst := New(4)
-	AddInto(dst, a, b)
-	want := []float32{11, 22, 33, 44}
-	for i, w := range want {
-		if dst.Data()[i] != w {
-			t.Fatalf("AddInto[%d] = %v, want %v", i, dst.Data()[i], w)
+	negZero := float32(math.Copysign(0, -1))
+	nan := float32(math.NaN())
+	check := func(name string, got, want []float32) {
+		t.Helper()
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s = %v, want %v", name, got, want)
+			}
 		}
 	}
-	SubInto(dst, b, a)
-	if dst.Data()[3] != 36 {
-		t.Fatalf("SubInto = %v", dst.Data())
-	}
-	MulInto(dst, a, a)
-	if dst.Data()[2] != 9 {
-		t.Fatalf("MulInto = %v", dst.Data())
-	}
+	x := []float32{1.5, -2, negZero, nan, 0, 3}
+	dst := make([]float32, len(x))
+	ReLU(dst, x)
+	check("ReLU", dst, []float32{1.5, 0, 0, 0, 0, 3})
+	g := []float32{1, 2, 3, 4, 5, 6}
+	ReLUBackward(g, dst)
+	check("ReLUBackward", g, []float32{1, 0, 0, 0, 0, 6})
+	AddReLU(dst, x, []float32{1, 1, 1, 1, 1, -4})
+	check("AddReLU", dst, []float32{2.5, 0, 1, 0, 1, 0})
+	BNAffine(dst, []float32{3, 1, 5, -1, 3, 3}, 1, 0.5, 2, 1)
+	check("BNAffine", dst, []float32{3, 1, 5, -1, 3, 3})
+	ScaleInto(dst, []float32{1, -2, 0, 4, 0.5, 3}, -2)
+	check("ScaleInto", dst, []float32{-2, 4, negZero, -8, -1, -6})
+	BNBackward(dst, []float32{3, 1, 1, 1, 1, 1}, []float32{5, 1, 1, 1, 1, 1}, 1, 0.5, 1, 2, 3)
+	check("BNBackward", dst, []float32{-6, 0, 0, 0, 0, 0})
 }
 
 func TestScaleAddScaledClamp(t *testing.T) {
@@ -363,8 +370,8 @@ func TestMatMulDistributesOverAddition(t *testing.T) {
 		rng.FillNormal(a, 0, 1)
 		rng.FillNormal(b, 0, 1)
 		rng.FillNormal(c, 0, 1)
-		sum := New(m, k)
-		AddInto(sum, a, b)
+		sum := a.Clone()
+		sum.AddScaled(b, 1)
 		lhs := MatMul(sum, c)
 		rhs := MatMul(a, c)
 		rhs.AddScaled(MatMul(b, c), 1)
