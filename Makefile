@@ -107,7 +107,8 @@ check-bench:
 	$(GO) run ./cmd/benchjson -check BENCH_*.json
 
 ## vet: a gofmt check (fails when `gofmt -l .` lists any file), static
-## checks, plus a cross-compile of the portable (non-AVX2) code paths — the
+## checks (also over perfbench, a separate module that root `go vet`
+## never compiles, whose tests then run), plus a cross-compile of the portable (non-AVX2) code paths — the
 ## asm files are amd64-gated, so arm64 must build pure Go — plus the
 ## committed-benchmark schema check and the race suite over the concurrent
 ## engines. On an AVX2 host it also reruns the elementwise kernel identity
@@ -117,6 +118,7 @@ vet: check-bench test-race
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	GOARCH=arm64 $(GO) build ./...
 	@if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then \
 		echo "GOAMD64=v3 $(GO) test -run 'Elementwise|BNAffine|BNSums|BatchNormMatches' ./internal/tensor ./internal/nn"; \

@@ -1,6 +1,7 @@
 package rowhammer
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -86,7 +87,7 @@ func RunFleet(v *Victim, off *Offline, modules []FleetModule, cfg FleetConfig) (
 			return nil, fmt.Errorf("rowhammer: fleet module %d: %w", i, err)
 		}
 		// An unnamed campaign is labeled by its device alone.
-		job.Name = or(m.Name, job.Module.Device.Name)
+		job.Name = cmp.Or(m.Name, job.Module.Device.Name)
 		jobs[i] = job
 	}
 

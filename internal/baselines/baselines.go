@@ -3,32 +3,19 @@
 // of every weight), FT (last-layer fine-tuning) and TBT (Targeted Bit
 // Trojan: trigger generation plus fine-tuning of a few last-layer
 // weights). None of them respects the Rowhammer placement constraints,
-// which is exactly why their DRAM match rates collapse online.
+// which is exactly why their DRAM match rates collapse online. Each one
+// returns a core.Result, the CFT+BR result type, with no LossHistory,
+// so the online pipeline consumes any method's output the same way.
 package baselines
 
 import (
 	"fmt"
 
+	"rowhammer/internal/core"
 	"rowhammer/internal/data"
 	"rowhammer/internal/nn"
 	"rowhammer/internal/quant"
 )
-
-// Result is the offline output of a baseline attack, structurally
-// identical to the CFT+BR result so the online pipeline can consume
-// either.
-type Result struct {
-	// Quantizer is bound to the attacked model.
-	Quantizer *quant.Quantizer
-	// OrigCodes and BackdooredCodes are the clean and attacked weight
-	// files.
-	OrigCodes       []int8
-	BackdooredCodes []int8
-	// Trigger is the input pattern.
-	Trigger *data.Trigger
-	// NFlip is the Hamming distance between the code vectors.
-	NFlip int
-}
 
 // Config holds the shared baseline settings.
 type Config struct {
@@ -79,7 +66,7 @@ func fixedTrigger(model *nn.Model, size int) *data.Trigger {
 
 // fineTune runs the blended-objective fine-tuning over the given
 // parameter subset and returns the resulting weight-file difference.
-func fineTune(model *nn.Model, attackSet *data.Dataset, params []*nn.Param, trigger *data.Trigger, cfg Config) (*Result, error) {
+func fineTune(model *nn.Model, attackSet *data.Dataset, params []*nn.Param, trigger *data.Trigger, cfg Config) (*core.Result, error) {
 	if err := cfg.validate(model); err != nil {
 		return nil, err
 	}
@@ -108,21 +95,27 @@ func fineTune(model *nn.Model, attackSet *data.Dataset, params []*nn.Param, trig
 
 		opt.Step()
 	}
+	return result(q, orig, trigger), nil
+}
+
+// result requantizes the tuned model and packages the weight-file
+// difference.
+func result(q *quant.Quantizer, orig []int8, trigger *data.Trigger) *core.Result {
 	q.Requantize()
 	codes := q.Codes()
-	return &Result{
+	return &core.Result{
 		Quantizer:       q,
 		OrigCodes:       orig,
 		BackdooredCodes: codes,
 		Trigger:         trigger,
 		NFlip:           quant.HammingDistance(orig, codes),
-	}, nil
+	}
 }
 
 // BadNet fine-tunes every parameter on the blended objective with a
 // fixed trigger — the supply-chain attack of Gu et al., evaluated here
 // as a post-deployment bit-flip candidate.
-func BadNet(model *nn.Model, attackSet *data.Dataset, cfg Config) (*Result, error) {
+func BadNet(model *nn.Model, attackSet *data.Dataset, cfg Config) (*core.Result, error) {
 	trigger := fixedTrigger(model, cfg.TriggerSize)
 	return fineTune(model, attackSet, model.Params(), trigger, cfg)
 }
@@ -142,7 +135,7 @@ func lastLinear(model *nn.Model) (*nn.Linear, error) {
 }
 
 // FT fine-tunes only the last layer (the paper's FT baseline).
-func FT(model *nn.Model, attackSet *data.Dataset, cfg Config) (*Result, error) {
+func FT(model *nn.Model, attackSet *data.Dataset, cfg Config) (*core.Result, error) {
 	fc, err := lastLinear(model)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"rowhammer/internal/core"
 	"rowhammer/internal/data"
 	"rowhammer/internal/nn"
 	"rowhammer/internal/quant"
@@ -37,7 +38,7 @@ func DefaultTBTConfig(target int) TBTConfig {
 // fine-tune only the selected weights on the blended objective. All
 // modified weights live in the final layer — a single memory page on
 // CIFAR-scale models — which is what ruins its DRAM match rate.
-func TBT(model *nn.Model, attackSet *data.Dataset, cfg TBTConfig) (*Result, error) {
+func TBT(model *nn.Model, attackSet *data.Dataset, cfg TBTConfig) (*core.Result, error) {
 	if err := cfg.Config.validate(model); err != nil {
 		return nil, err
 	}
@@ -113,13 +114,5 @@ func TBT(model *nn.Model, attackSet *data.Dataset, cfg TBTConfig) (*Result, erro
 		}
 	}
 
-	q.Requantize()
-	codes := q.Codes()
-	return &Result{
-		Quantizer:       q,
-		OrigCodes:       orig,
-		BackdooredCodes: codes,
-		Trigger:         trigger,
-		NFlip:           quant.HammingDistance(orig, codes),
-	}, nil
+	return result(q, orig, trigger), nil
 }

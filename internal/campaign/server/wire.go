@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 
 	"rowhammer/internal/campaign"
@@ -124,14 +125,14 @@ func (js JobSpec) Job(index int) (campaign.Job, error) {
 	// and rejects it.
 	fault := dram.FaultModel{FlipFailProb: js.Module.FlipFailProb, TRRJitter: js.Module.TRRJitter}
 	if fault != (dram.FaultModel{}) {
-		fault.Seed = or(js.Module.FaultSeed, 1)
+		fault.Seed = cmp.Or(js.Module.FaultSeed, 1)
 	}
 	on := js.Online
 	ocfg := core.DefaultOnlineConfig(len(js.WeightFile) / memsys.PageSize)
-	ocfg.BufferPages = or(on.BufferPages, ocfg.BufferPages)
-	ocfg.Sides = or(on.Sides, ocfg.Sides)
-	ocfg.Intensity = or(on.Intensity, ocfg.Intensity)
-	ocfg.MeasureSeed = or(on.MeasureSeed, 7)
+	ocfg.BufferPages = cmp.Or(on.BufferPages, ocfg.BufferPages)
+	ocfg.Sides = cmp.Or(on.Sides, ocfg.Sides)
+	ocfg.Intensity = cmp.Or(on.Intensity, ocfg.Intensity)
+	ocfg.MeasureSeed = cmp.Or(on.MeasureSeed, 7)
 	ocfg.Rounds = on.Rounds
 	ocfg.Escalation = on.Escalation
 	ocfg.RetemplatePasses = on.RetemplatePasses
@@ -143,22 +144,13 @@ func (js JobSpec) Job(index int) (campaign.Job, error) {
 		Reqs:       js.Reqs,
 		Module: campaign.ModuleSpec{
 			Device:    dev,
-			SizeBytes: or(js.Module.SizeMB, 192) << 20,
-			Seed:      or(js.Module.Seed, 7),
+			SizeBytes: cmp.Or(js.Module.SizeMB, 192) << 20,
+			Seed:      cmp.Or(js.Module.Seed, 7),
 			Fault:     fault,
 		},
 		Online: ocfg,
 	}
 	return job, job.Validate()
-}
-
-// or returns v, or def when v is the zero value.
-func or[T comparable](v, def T) T {
-	var zero T
-	if v == zero {
-		return def
-	}
-	return v
 }
 
 // FleetStatus is the wire form of GET /v1/fleets/{id}.

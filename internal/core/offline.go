@@ -112,7 +112,8 @@ func DefaultConfig(nflip, target int) Config {
 }
 
 // Result is the offline-phase output: the backdoored weight file and
-// the learned trigger.
+// the trigger. The Table II baselines (internal/baselines) return it
+// too, without a LossHistory.
 type Result struct {
 	// Quantizer is bound to the attacked model; its codes hold the
 	// backdoored weights.
@@ -121,7 +122,8 @@ type Result struct {
 	OrigCodes []int8
 	// BackdooredCodes is the attacked weight file.
 	BackdooredCodes []int8
-	// Trigger is the learned input pattern Δx.
+	// Trigger is the input pattern Δx: learned by CFT+BR and TBT, a
+	// fixed white square for BadNet and FT.
 	Trigger *data.Trigger
 	// NFlip is the realized Hamming distance between the two code
 	// vectors.
@@ -204,6 +206,9 @@ func RunOffline(model *nn.Model, attackSet *data.Dataset, cfg Config) (*Result, 
 	}
 	if cfg.TargetClass < 0 || cfg.TargetClass >= model.Classes {
 		return nil, fmt.Errorf("core: target class %d out of range", cfg.TargetClass)
+	}
+	if edge := min(model.InputShape[1], model.InputShape[2]); cfg.TriggerSize < 1 || cfg.TriggerSize > edge {
+		return nil, fmt.Errorf("core: trigger size %d outside [1, %d]", cfg.TriggerSize, edge)
 	}
 	if cfg.BitReduceEvery <= 0 {
 		cfg.BitReduceEvery = 100

@@ -197,33 +197,32 @@ func TestRADARDetectsMSBFlipAndMissesAdaptive(t *testing.T) {
 func TestSaliencyFocusShiftsWithBackdooredWeights(t *testing.T) {
 	r := victim(t)
 	clean := cloneModel(t)
+	tap, err := InstallGradCAMTap(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
 	trigger := data.NewSquareTrigger(3, 32, 32, 10)
 
-	// Heatmap sanity: non-negative, right shape.
-	heat := SaliencyMap(clean, r.Test.Image(0), 2)
-	if heat.Dim(0) != 32 || heat.Dim(1) != 32 {
-		t.Fatalf("heatmap shape %v", heat.Shape())
-	}
-	for _, v := range heat.Data() {
-		if v < 0 {
-			t.Fatal("saliency must be non-negative")
-		}
+	heat, err := GradCAM(clean, tap, r.Test.Image(0), 2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	ratio := TriggerFocusRatio(heat, trigger)
 	if ratio < 0 || ratio > 1 {
 		t.Fatalf("focus ratio %v out of range", ratio)
 	}
 
-	// A crude "backdoored" model: crank the weights feeding the target
-	// class so triggered inputs dominate; focus should move toward the
-	// trigger region relative to the clean model is not guaranteed for
-	// an arbitrary corruption, so here we verify the report mechanics.
-	rep := EvaluateSentiNet(clean, clean, r.Test, trigger, 2, 4)
-	if rep.CleanFocus != rep.BackdooredFocus {
-		t.Fatal("identical models must report identical focus")
+	// Whether focus moves toward the trigger depends on the attack, so
+	// here we verify the report mechanics.
+	rep, err := EvaluateGradCAM(clean, cloneModel(t), r.Test, trigger, 2, 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.MaskArea <= 0 || rep.MaskArea >= 1 {
-		t.Fatalf("mask area %v", rep.MaskArea)
+	if rep.CleanFocus < 0 || rep.CleanFocus > 1 {
+		t.Fatalf("clean focus %v out of range", rep.CleanFocus)
+	}
+	if want := 100.0 / (32 * 32); rep.MaskArea != want {
+		t.Fatalf("mask area %v, want %v", rep.MaskArea, want)
 	}
 }
 
@@ -279,15 +278,24 @@ func TestReconstructorWrapLossRestoresWeights(t *testing.T) {
 
 func TestSaliencyDeterministic(t *testing.T) {
 	m := cloneModel(t)
-	r := victim(t)
-	a := SaliencyMap(m, r.Test.Image(1), 0)
-	b := SaliencyMap(m, r.Test.Image(1), 0)
+	tap, err := InstallGradCAMTap(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := victim(t).Test.Image(1)
+	a, err := GradCAM(m, tap, img, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := GradCAM(m, tap, img, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range a.Data() {
 		if a.Data()[i] != b.Data()[i] {
-			t.Fatal("saliency not deterministic")
+			t.Fatal("Grad-CAM heatmap not deterministic")
 		}
 	}
-	_ = tensor.New(1) // keep tensor import for helpers above
 }
 
 func TestGradCAMTapAndHeatmap(t *testing.T) {

@@ -12,8 +12,7 @@ import (
 // image and class: the last convolutional feature map, weighted by the
 // spatial mean of its class gradient and rectified, upsampled to the
 // input resolution. This is the estimator the paper's Figure 8 /
-// SentiNet analysis uses; the lighter gradient-saliency variant is in
-// SaliencyMap.
+// SentiNet analysis uses.
 //
 // A Tap must be installed in the model first (InstallGradCAMTap); the
 // same tapped model can be reused across calls.
@@ -102,9 +101,9 @@ func InstallGradCAMTap(m *nn.Model) (*nn.Tap, error) {
 	return tap, nil
 }
 
-// EvaluateGradCAM is EvaluateSentiNet with the Grad-CAM estimator:
-// both models get a tap installed and the trigger-region heat ratio is
-// averaged over the first n samples.
+// EvaluateGradCAM measures the Figure 8 focus shift with the Grad-CAM
+// estimator: both models get a tap installed and the trigger-region
+// heat ratio is averaged over the first n samples.
 func EvaluateGradCAM(clean, backdoored *nn.Model, ds *data.Dataset, trigger *data.Trigger, target, n int) (SentiNetReport, error) {
 	cleanTap, err := InstallGradCAMTap(clean)
 	if err != nil {
@@ -139,4 +138,39 @@ func EvaluateGradCAM(clean, backdoored *nn.Model, ds *data.Dataset, trigger *dat
 	rep.CleanFocus /= float64(n)
 	rep.BackdooredFocus /= float64(n)
 	return rep, nil
+}
+
+// TriggerFocusRatio returns the fraction of saliency mass inside the
+// trigger mask. A clean model attends to the object; a backdoored model
+// shifts its focus onto the trigger (Figure 8's observation), so this
+// ratio rises sharply after the attack.
+func TriggerFocusRatio(heat *tensor.Tensor, trigger *data.Trigger) float64 {
+	h, w := heat.Dim(0), heat.Dim(1)
+	var inside, total float64
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			v := float64(heat.At(y, x))
+			total += v
+			if trigger.InMask(y, x) {
+				inside += v
+			}
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return inside / total
+}
+
+// SentiNetReport compares trigger focus before and after an attack
+// (averaged over a sample set), the quantitative form of Figure 8.
+type SentiNetReport struct {
+	// CleanFocus is the mean trigger-region saliency ratio of the clean
+	// model on triggered inputs.
+	CleanFocus float64
+	// BackdooredFocus is the same ratio for the backdoored model.
+	BackdooredFocus float64
+	// MaskArea is the trigger mask's share of the image area (the
+	// focus ratio of an attribution-blind model).
+	MaskArea float64
 }

@@ -354,12 +354,6 @@ func poisson(rng *splitmix.Stream, lambda float64) int {
 	}
 }
 
-// WeakCellCount returns how many vulnerable cells a row contains
-// (useful for statistics without triggering flips).
-func (m *Module) WeakCellCount(bank, row int) int {
-	return len(m.weakCells(bank, row))
-}
-
 // trrEscapeFraction models the Target Row Refresh sampler: with A
 // simultaneous aggressors and a sampler that can track K of them, a
 // (A−K)/A fraction of the hammer activity escapes mitigation. Patterns

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -167,15 +168,7 @@ func (m *Module) ArenaBytes() int {
 func (m *Module) TouchedPages() int {
 	n := 0
 	for i := range m.store.dirty {
-		n += popcount64(atomic.LoadUint64(&m.store.dirty[i]))
-	}
-	return n
-}
-
-func popcount64(x uint64) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
+		n += bits.OnesCount64(atomic.LoadUint64(&m.store.dirty[i]))
 	}
 	return n
 }

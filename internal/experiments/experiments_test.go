@@ -1,9 +1,18 @@
 package experiments
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"rowhammer/internal/tensor"
 )
 
 func TestTable1ShapesAndOrdering(t *testing.T) {
@@ -231,6 +240,40 @@ func TestTable2ResNet20(t *testing.T) {
 	if byMethod[MethodBadNet].Offline.NFlip < 100*cftbr.Offline.NFlip {
 		t.Fatal("BadNet should need vastly more flips than CFT+BR")
 	}
+
+	// %+v prints every field, floats in their shortest exact form, so
+	// any moved number changes the digest.
+	h := sha256.New()
+	for _, r := range rows {
+		fmt.Fprintf(h, "%+v\n", r)
+	}
+	checkGoldenDigest(t, "table2/resnet20_quick", hex.EncodeToString(h.Sum(nil)))
+}
+
+// checkGoldenDigest compares got with the "kernelset name sha256" line
+// for name in testdata/golden/digests.txt (TestGoldenDigests in
+// internal/pretrain owns the file), and skips on a kernel set with no
+// committed line.
+func checkGoldenDigest(t *testing.T, name, got string) {
+	t.Helper()
+	set := "portable"
+	if tensor.AcceleratedKernels() {
+		set = "avx2"
+	}
+	f, err := os.Open(filepath.Join("..", "..", "testdata", "golden", "digests.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		if fs := strings.Fields(sc.Text()); len(fs) == 3 && fs[0] == set && fs[1] == name {
+			if got != fs[2] {
+				t.Errorf("%s %s: digest %s, golden %s", set, name, got, fs[2])
+			}
+			return
+		}
+	}
+	t.Skipf("no golden %s digest for the %s kernel set (got %s)", name, set, got)
 }
 
 func TestFigure7LossSpikes(t *testing.T) {

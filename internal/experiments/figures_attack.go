@@ -149,8 +149,8 @@ func Figure13(s Scale, arch string) (*Figure13Report, error) {
 		return pages, spread, maxHits
 	}
 
-	rep := &Figure13Report{TotalPages: cftbr.quantizer.NumPages()}
-	rep.CFTBRPages, rep.CFTBRSpread, rep.CFTBRMaxHits = pagesOf(cftbr.orig, cftbr.codes)
-	rep.TBTPages, rep.TBTSpread, rep.TBTMaxHits = pagesOf(tbt.orig, tbt.codes)
+	rep := &Figure13Report{TotalPages: cftbr.Quantizer.NumPages()}
+	rep.CFTBRPages, rep.CFTBRSpread, rep.CFTBRMaxHits = pagesOf(cftbr.OrigCodes, cftbr.BackdooredCodes)
+	rep.TBTPages, rep.TBTSpread, rep.TBTMaxHits = pagesOf(tbt.OrigCodes, tbt.BackdooredCodes)
 	return rep, nil
 }

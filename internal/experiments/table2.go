@@ -5,7 +5,6 @@ import (
 
 	"rowhammer/internal/baselines"
 	"rowhammer/internal/core"
-	"rowhammer/internal/data"
 	"rowhammer/internal/dram"
 	"rowhammer/internal/memsys"
 	"rowhammer/internal/metrics"
@@ -58,18 +57,9 @@ func (r Table2Row) String() string {
 		r.Online.NFlip, 100*r.Online.TA, 100*r.Online.ASR, r.RMatch)
 }
 
-// offlineResult is the method-agnostic view of an offline attack.
-type offlineResult struct {
-	quantizer *quant.Quantizer
-	orig      []int8
-	codes     []int8
-	trigger   *data.Trigger
-	nflip     int
-}
-
 // runMethod executes one offline attack against a fresh clone of the
 // victim.
-func runMethod(method string, res *pretrain.Result, mcfg models.Config, s Scale) (*offlineResult, error) {
+func runMethod(method string, res *pretrain.Result, mcfg models.Config, s Scale) (*core.Result, error) {
 	model, err := pretrain.CloneModel(mcfg, res.Model)
 	if err != nil {
 		return nil, err
@@ -81,35 +71,20 @@ func runMethod(method string, res *pretrain.Result, mcfg models.Config, s Scale)
 		cfg := baselines.DefaultConfig(s.TargetClass)
 		cfg.Iterations = s.BaselineIterations
 		cfg.LR = s.BaselineLR
-		var out *baselines.Result
 		if method == MethodBadNet {
 			cfg.LR = s.BaselineLR / 5 // full-network tuning needs a gentler step
-			out, err = baselines.BadNet(model, attackSet, cfg)
-		} else {
-			out, err = baselines.FT(model, attackSet, cfg)
+			return baselines.BadNet(model, attackSet, cfg)
 		}
-		if err != nil {
-			return nil, err
-		}
-		return &offlineResult{out.Quantizer, out.OrigCodes, out.BackdooredCodes, out.Trigger, out.NFlip}, nil
+		return baselines.FT(model, attackSet, cfg)
 	case MethodTBT:
 		cfg := baselines.DefaultTBTConfig(s.TargetClass)
 		cfg.Iterations = s.BaselineIterations
 		cfg.LR = s.BaselineLR
-		out, err := baselines.TBT(model, attackSet, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &offlineResult{out.Quantizer, out.OrigCodes, out.BackdooredCodes, out.Trigger, out.NFlip}, nil
+		return baselines.TBT(model, attackSet, cfg)
 	case MethodCFT, MethodCFTBR:
 		q := quant.NewQuantizer(model)
 		nflip := defaultNFlip(q.NumPages())
-		cfg := attackConfig(s, nflip, method == MethodCFTBR)
-		out, err := core.RunOffline(model, attackSet, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &offlineResult{out.Quantizer, out.OrigCodes, out.BackdooredCodes, out.Trigger, out.NFlip}, nil
+		return core.RunOffline(model, attackSet, attackConfig(s, nflip, method == MethodCFTBR))
 	default:
 		return nil, fmt.Errorf("experiments: unknown method %q", method)
 	}
@@ -156,18 +131,18 @@ func table2Cell(arch, method string, res *pretrain.Result, mcfg models.Config, s
 		return nil, err
 	}
 	// Offline metrics: evaluate the model carrying the backdoored codes.
-	offModel := off.quantizer.Model()
+	offModel := off.Quantizer.Model()
 	row := &Table2Row{
 		Arch:    arch,
 		Method:  method,
 		BaseAcc: res.Accuracy,
-		Bits:    off.quantizer.NumWeights() * 8,
-		Pages:   off.quantizer.NumPages(),
+		Bits:    off.Quantizer.NumWeights() * 8,
+		Pages:   off.Quantizer.NumPages(),
 		Classes: res.Test.Classes,
 		Offline: PhaseMetrics{
-			NFlip: off.nflip,
+			NFlip: off.NFlip,
 			TA:    metrics.TestAccuracy(offModel, res.Test),
-			ASR:   metrics.AttackSuccessRate(offModel, res.Test, off.trigger, s.TargetClass),
+			ASR:   metrics.AttackSuccessRate(offModel, res.Test, off.Trigger, s.TargetClass),
 		},
 	}
 
@@ -176,9 +151,9 @@ func table2Cell(arch, method string, res *pretrain.Result, mcfg models.Config, s
 	// concession.
 	var reqs []profile.PageRequirement
 	if method == MethodCFTBR {
-		reqs = core.RequirementsFromCodes(off.orig, off.codes)
+		reqs = core.RequirementsFromCodes(off.OrigCodes, off.BackdooredCodes)
 	} else {
-		reqs = core.ReduceRequirementsToOnePerPage(off.orig, off.codes)
+		reqs = core.ReduceRequirementsToOnePerPage(off.OrigCodes, off.BackdooredCodes)
 	}
 
 	mod, err := dram.NewModuleForSize(s.ModuleMB<<20, dram.PaperDDR3(), s.Seed+int64(len(arch))+int64(len(method)))
@@ -207,7 +182,7 @@ func table2Cell(arch, method string, res *pretrain.Result, mcfg models.Config, s
 	if pages := disturbedPages(cleanFile, onres.CorruptedFile); pages > 0 {
 		deltaPerPage = float64(onres.AccidentalFlips) / float64(pages)
 	}
-	row.RMatch = metrics.RMatch(onres.NMatch, off.nflip, deltaPerPage)
+	row.RMatch = metrics.RMatch(onres.NMatch, off.NFlip, deltaPerPage)
 	row.Accident = onres.AccidentalFlips
 
 	// Load the corrupted file into a fresh victim and measure online
@@ -221,7 +196,7 @@ func table2Cell(arch, method string, res *pretrain.Result, mcfg models.Config, s
 	row.Online = PhaseMetrics{
 		NFlip: onres.NFlipOnline,
 		TA:    metrics.TestAccuracy(victimModel, res.Test),
-		ASR:   metrics.AttackSuccessRate(victimModel, res.Test, off.trigger, s.TargetClass),
+		ASR:   metrics.AttackSuccessRate(victimModel, res.Test, off.Trigger, s.TargetClass),
 	}
 	return row, nil
 }

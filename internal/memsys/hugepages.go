@@ -27,7 +27,6 @@ func (p *Process) MmapHuge(npages int) (int, error) {
 			for i := 0; i < allocated; i++ {
 				entry := p.pt[base+i]
 				p.pt[base+i].frame = -1
-				p.mapped--
 				p.sys.setFrameFree(int(entry.frame), true)
 			}
 			return 0, fmt.Errorf("memsys: huge page %d: %w", hp, err)

@@ -48,7 +48,6 @@ type System struct {
 
 	files    map[string]*cachedFile
 	fileList []*cachedFile // file ID → file, for page-table back-references
-	nextPID  int
 
 	// rec is the optional slice recycler this System draws bookkeeping
 	// from; procs tracks processes so Recycle can harvest their page
@@ -184,15 +183,6 @@ func newFrameIndex(npages int) []int32 {
 	return idx
 }
 
-// FileSize returns a file's length in bytes.
-func (s *System) FileSize(name string) (int, error) {
-	cf, ok := s.files[name]
-	if !ok {
-		return 0, fmt.Errorf("memsys: no such file %q", name)
-	}
-	return len(cf.data), nil
-}
-
 // ReadFileFromDisk returns the on-disk bytes, bypassing the page cache.
 // Rowhammer corruption never reaches this copy.
 func (s *System) ReadFileFromDisk(name string) ([]byte, error) {
@@ -239,10 +229,8 @@ func (s *System) FileCachedFrames(name string) (map[int]int, error) {
 
 // NewProcess creates a process with an empty address space.
 func (s *System) NewProcess() *Process {
-	s.nextPID++
 	p := &Process{
 		sys:       s,
-		pid:       s.nextPID,
 		nextVPage: 0x1000, // arbitrary non-zero base
 	}
 	if s.rec != nil {
@@ -267,14 +255,9 @@ type ptEntry struct {
 // one bounds check and one load.
 type Process struct {
 	sys       *System
-	pid       int
 	pt        []ptEntry
-	mapped    int
 	nextVPage int
 }
-
-// PID returns the process id.
-func (p *Process) PID() int { return p.pid }
 
 // ensurePT extends the page table with unmapped entries through virtual
 // page n−1.
@@ -297,9 +280,6 @@ func (p *Process) ensurePT(n int) {
 
 func (p *Process) setEntry(vp int, e ptEntry) {
 	p.ensurePT(vp + 1)
-	if p.pt[vp].frame < 0 {
-		p.mapped++
-	}
 	p.pt[vp] = e
 }
 
@@ -408,7 +388,6 @@ func (p *Process) MunmapPage(vaddr int) error {
 	}
 	entry := p.pt[vp]
 	p.pt[vp].frame = -1
-	p.mapped--
 	if entry.fileID < 0 {
 		p.sys.releaseFrame(int(entry.frame))
 	}
@@ -532,6 +511,3 @@ func (p *Process) ReadMapped(vaddr, n int) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// MappedPages returns the number of currently mapped pages.
-func (p *Process) MappedPages() int { return p.mapped }

@@ -45,8 +45,8 @@ type ConcurrentPredictor interface {
 // call — so hot loops that evaluate after every candidate flip (the
 // offline refinement, the defense sweeps, the serving harness) pay the
 // interface type-assertion exactly once per engine. Construct with
-// NewEvaluator and reuse across TestAccuracy/AttackSuccessRate/
-// ConfusionMatrix calls on the same engine.
+// NewEvaluator and reuse across TestAccuracy/AttackSuccessRate calls
+// on the same engine.
 type Evaluator struct {
 	m Predictor
 	// concurrent caches the engine's ConcurrentSafe answer. The worker
@@ -178,42 +178,4 @@ func RMatch(nMatch, nFlip int, deltaPerPage float64) float64 {
 		r = 0
 	}
 	return r
-}
-
-// ConfusionMatrix counts predictions per (true, predicted) class pair.
-// When trigger is non-nil it is stamped on every sample first. Each
-// batch accumulates into a private matrix (disjoint slots), merged
-// after the barrier.
-func (e *Evaluator) ConfusionMatrix(ds *data.Dataset, trigger *data.Trigger) [][]int {
-	k := ds.Classes
-	cm := make([][]int, k)
-	for i := range cm {
-		cm[i] = make([]int, k)
-	}
-	batches := ds.Batches(evalBatch)
-	parts := make([][]int, len(batches))
-	e.evalBatches(batches, func(bi int, b data.Batch) {
-		part := make([]int, k*k)
-		if trigger != nil {
-			trigger.Apply(b.Images)
-		}
-		preds := e.m.Predict(b.Images)
-		for i, p := range preds {
-			part[b.Labels[i]*k+p]++
-		}
-		parts[bi] = part
-	})
-	for _, part := range parts {
-		for idx, c := range part {
-			if c != 0 {
-				cm[idx/k][idx%k] += c
-			}
-		}
-	}
-	return cm
-}
-
-// ConfusionMatrix is the one-shot form of Evaluator.ConfusionMatrix.
-func ConfusionMatrix(m Predictor, ds *data.Dataset, trigger *data.Trigger) [][]int {
-	return NewEvaluator(m).ConfusionMatrix(ds, trigger)
 }

@@ -12,7 +12,7 @@ func forwardShape(t *testing.T, m *nn.Model, batch int) {
 	x := tensor.New(batch, m.InputShape[0], m.InputShape[1], m.InputShape[2])
 	tensor.NewRNG(1).FillNormal(x, 0, 1)
 	out := m.Forward(x, false)
-	if out.NDim() != 2 || out.Dim(0) != batch || out.Dim(1) != m.Classes {
+	if len(out.Shape()) != 2 || out.Dim(0) != batch || out.Dim(1) != m.Classes {
 		t.Fatalf("%s: output shape %v, want (%d,%d)", m.Arch, out.Shape(), batch, m.Classes)
 	}
 }

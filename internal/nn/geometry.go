@@ -14,9 +14,6 @@ func (c *Conv2D) Geom() (inC, outC, kh, kw, stride, pad int) {
 // Dims returns the linear layer's input and output widths.
 func (l *Linear) Dims() (in, out int) { return l.in, l.out }
 
-// Channels returns the normalized channel count.
-func (b *BatchNorm2D) Channels() int { return b.channels }
-
 // Eps returns the variance-stabilizing epsilon used at inference.
 func (b *BatchNorm2D) Eps() float32 { return b.eps }
 

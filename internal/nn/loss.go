@@ -6,35 +6,6 @@ import (
 	"rowhammer/internal/tensor"
 )
 
-// Softmax writes the row-wise softmax of logits (N, K) into a new
-// tensor.
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	n, k := logits.Dim(0), logits.Dim(1)
-	out := tensor.New(n, k)
-	ld, od := logits.Data(), out.Data()
-	for i := 0; i < n; i++ {
-		row := ld[i*k : (i+1)*k]
-		dst := od[i*k : (i+1)*k]
-		m := row[0]
-		for _, v := range row[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(float64(v - m))
-			dst[j] = float32(e)
-			sum += e
-		}
-		inv := float32(1 / sum)
-		for j := range dst {
-			dst[j] *= inv
-		}
-	}
-	return out
-}
-
 // CrossEntropy computes the mean cross-entropy loss of logits (N, K)
 // against integer labels, and the gradient dLoss/dLogits, optionally
 // scaled by weight (used for the α-blended attack objective of Eq. 3).

@@ -1,6 +1,6 @@
 // Package nn implements the minimal neural-network engine the
 // backdoor-injection attack needs: layers with explicit forward and
-// backward passes, cross-entropy loss, SGD/Adam optimizers, and a model
+// backward passes, cross-entropy loss, an SGD optimizer, and a model
 // container that exposes parameters in their deterministic weight-file
 // order (the order that matters for the memory-page constraints of the
 // Rowhammer attack).

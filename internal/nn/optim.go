@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"rowhammer/internal/tensor"
-)
+import "rowhammer/internal/tensor"
 
 // Optimizer updates model parameters from their accumulated gradients.
 type Optimizer interface {
@@ -45,49 +41,6 @@ func (s *SGD) Step() {
 			grad := g[j] + s.weightDecay*w[j]
 			v[j] = s.momentum*v[j] + grad
 			w[j] -= s.lr * v[j]
-		}
-	}
-}
-
-// Adam is the Adam optimizer.
-type Adam struct {
-	params []*Param
-	lr     float32
-	beta1  float32
-	beta2  float32
-	eps    float32
-	t      int
-	m, v   []*tensor.Tensor
-}
-
-var _ Optimizer = (*Adam)(nil)
-
-// NewAdam builds an Adam optimizer with the usual defaults
-// (β1=0.9, β2=0.999, ε=1e-8).
-func NewAdam(params []*Param, lr float32) *Adam {
-	m := make([]*tensor.Tensor, len(params))
-	v := make([]*tensor.Tensor, len(params))
-	for i, p := range params {
-		m[i] = tensor.New(p.W.Shape()...)
-		v[i] = tensor.New(p.W.Shape()...)
-	}
-	return &Adam{params: params, lr: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, m: m, v: v}
-}
-
-// Step implements Optimizer.
-func (a *Adam) Step() {
-	a.t++
-	bc1 := 1 - float32(math.Pow(float64(a.beta1), float64(a.t)))
-	bc2 := 1 - float32(math.Pow(float64(a.beta2), float64(a.t)))
-	for i, p := range a.params {
-		w, g := p.W.Data(), p.G.Data()
-		m, v := a.m[i].Data(), a.v[i].Data()
-		for j := range w {
-			m[j] = a.beta1*m[j] + (1-a.beta1)*g[j]
-			v[j] = a.beta2*v[j] + (1-a.beta2)*g[j]*g[j]
-			mh := m[j] / bc1
-			vh := v[j] / bc2
-			w[j] -= a.lr * mh / (float32(math.Sqrt(float64(vh))) + a.eps)
 		}
 	}
 }

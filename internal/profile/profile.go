@@ -538,37 +538,6 @@ func (p *Profile) FlippyPageCount() int {
 // VictimPageCount counts profiled victim pages.
 func (p *Profile) VictimPageCount() int { return 2 * len(p.Rows) }
 
-// BaitPages returns buffer pages safe to hand to the victim file
-// without them ever being disturbed by the planned hammering: pages
-// outside every hammered victim row and outside those rows' aggressor
-// rows. usedRows marks Profile.Rows indices the online plan hammers.
-func (p *Profile) BaitPages(usedRows map[int]bool) []int {
-	excluded := make([]uint64, (p.BufPages+63)/64)
-	mark := func(page int) {
-		if page >= 0 && page < p.BufPages {
-			excluded[page>>6] |= 1 << (uint(page) & 63)
-		}
-	}
-	for ri := range usedRows {
-		if !usedRows[ri] {
-			continue
-		}
-		for half := 0; half < 2; half++ {
-			mark(p.Rows[ri].Pages[half].BufferPage)
-		}
-		for _, ap := range aggressorBufferPages(p, ri) {
-			mark(ap)
-		}
-	}
-	var out []int
-	for page := 0; page < p.BufPages; page++ {
-		if excluded[page>>6]&(1<<(uint(page)&63)) == 0 {
-			out = append(out, page)
-		}
-	}
-	return out
-}
-
 // FlipsPerPageHistogram returns a histogram of flips per victim page
 // (Figure 2 / Figure 6 style data).
 func (p *Profile) FlipsPerPageHistogram() map[int]int {

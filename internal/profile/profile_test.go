@@ -255,19 +255,6 @@ func TestPlanPlacementBufferTooSmall(t *testing.T) {
 	}
 }
 
-func TestBaitPagesExcludeAggressorsAndUsedRows(t *testing.T) {
-	_, _, p := setupProfiled(t, dram.PaperDDR3(), 256, 2)
-	used := map[int]bool{0: true}
-	bait := p.BaitPages(used)
-	for _, page := range bait {
-		for half := 0; half < 2; half++ {
-			if p.Rows[0].Pages[half].BufferPage == page {
-				t.Fatal("bait includes a used victim row page")
-			}
-		}
-	}
-}
-
 func TestFlipsPerPageHistogram(t *testing.T) {
 	_, _, p := setupProfiled(t, dram.PaperDDR3(), 256, 2)
 	h := p.FlipsPerPageHistogram()

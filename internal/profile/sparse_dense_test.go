@@ -73,87 +73,3 @@ func TestProfileSparseDenseIdentity(t *testing.T) {
 		})
 	}
 }
-
-// sweepSystems builds n independent module+attacker targets with
-// distinct seeds, all freshly mapped.
-func sweepSystems(t *testing.T, n, bufPages int) []SweepTarget {
-	t.Helper()
-	targets := make([]SweepTarget, n)
-	for i := range targets {
-		mod, err := dram.NewModuleForSize(bufPages*memsys.PageSize+(8<<20), dram.PaperDDR3(), int64(100+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys := memsys.NewSystem(mod)
-		attacker := sys.NewProcess()
-		base, err := attacker.Mmap(bufPages)
-		if err != nil {
-			t.Fatal(err)
-		}
-		targets[i] = SweepTarget{Sys: sys, Attacker: attacker, BufBase: base, BufPages: bufPages}
-	}
-	return targets
-}
-
-// TestProfileSweepDeterminism: the module-sharded sweep returns, at any
-// worker count, exactly the profiles that sequential per-target
-// ProfileBuffer calls produce, in canonical target order.
-func TestProfileSweepDeterminism(t *testing.T) {
-	prevProcs := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prevProcs)
-	cfg := Config{Sides: 2, Intensity: 1, MeasureSeed: 9, SkipSpoilerCheck: true}
-	const nTargets, bufPages = 3, 512
-
-	// Sequential reference: one ProfileBuffer per fresh target.
-	var ref []*Profile
-	for _, tgt := range sweepSystems(t, nTargets, bufPages) {
-		p, err := ProfileBuffer(tgt.Sys, tgt.Attacker, tgt.BufBase, tgt.BufPages, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref = append(ref, p)
-	}
-	if ref[0].TotalFlips() == 0 {
-		t.Fatal("reference sweep found no flips; test is vacuous")
-	}
-
-	for _, w := range []int{1, 2, 4} {
-		prev := tensor.SetMaxWorkers(w)
-		got, err := ProfileSweep(sweepSystems(t, nTargets, bufPages), cfg)
-		tensor.SetMaxWorkers(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != nTargets {
-			t.Fatalf("sweep returned %d profiles, want %d", len(got), nTargets)
-		}
-		for i := range got {
-			if !reflect.DeepEqual(ref[i], got[i]) {
-				t.Fatalf("sweep at %d workers: target %d differs from sequential reference", w, i)
-			}
-		}
-	}
-}
-
-// TestProfileSweepSurfacesCanonicalError: a failing target reports its
-// own index regardless of scheduling.
-func TestProfileSweepSurfacesCanonicalError(t *testing.T) {
-	targets := sweepSystems(t, 2, 512)
-	targets[1].BufPages = 511 // odd page count → validation error
-	_, err := ProfileSweep(targets, Config{Sides: 2, Intensity: 1, SkipSpoilerCheck: true})
-	if err == nil {
-		t.Fatal("sweep with an invalid target succeeded")
-	}
-	if want := "sweep target 1"; !containsStr(err.Error(), want) {
-		t.Fatalf("error %q does not name the failing target (%q)", err, want)
-	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}

@@ -154,17 +154,6 @@ func (q *Quantizer) Codes() []int8 {
 	return append([]int8(nil), q.codes...)
 }
 
-// CodesInto copies all codes into dst (grown if needed) and returns it,
-// so hot loops can snapshot codes without allocating per call.
-func (q *Quantizer) CodesInto(dst []int8) []int8 {
-	if cap(dst) < len(q.codes) {
-		dst = make([]int8, len(q.codes))
-	}
-	dst = dst[:len(q.codes)]
-	copy(dst, q.codes)
-	return dst
-}
-
 // CodesView returns the live backing slice of the codes in weight-file
 // order. The slice aliases the quantizer's state: it must be treated as
 // read-only and is invalidated semantically by any code mutation. The

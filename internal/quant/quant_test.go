@@ -1,7 +1,6 @@
 package quant
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -267,67 +266,5 @@ func TestBitReduceMasked(t *testing.T) {
 	// No mask behaves like BitReduce.
 	if BitReduceMasked(0b1101, 0b1010, 0) != BitReduce(0b1101, 0b1010) {
 		t.Fatal("zero mask must match BitReduce")
-	}
-}
-
-func TestModelFileRoundTrip(t *testing.T) {
-	m := toyModel(20)
-	q := NewQuantizer(m)
-	blob, err := q.MarshalModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := ReadModelFile(bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Arch != "toy" {
-		t.Fatalf("arch = %q", f.Arch)
-	}
-	if len(f.Codes) != q.NumWeights() {
-		t.Fatalf("codes %d, want %d", len(f.Codes), q.NumWeights())
-	}
-	// Apply to a fresh model of the same structure.
-	m2 := toyModel(99)
-	q2 := NewQuantizer(m2)
-	if err := f.ApplyTo(q2); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < q.NumWeights(); i++ {
-		if q2.Code(i) != q.Code(i) {
-			t.Fatalf("code %d differs after reload", i)
-		}
-	}
-	a := m.FlattenParams()
-	b := m2.FlattenParams()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("weight %d differs after reload", i)
-		}
-	}
-}
-
-func TestReadModelFileRejectsGarbage(t *testing.T) {
-	if _, err := ReadModelFile(bytes.NewReader([]byte("not a model"))); err == nil {
-		t.Fatal("garbage must be rejected")
-	}
-	if _, err := ReadModelFile(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input must be rejected")
-	}
-	// Truncated container.
-	q := NewQuantizer(toyModel(21))
-	blob, _ := q.MarshalModel()
-	if _, err := ReadModelFile(bytes.NewReader(blob[:len(blob)-100])); err == nil {
-		t.Fatal("truncated container must be rejected")
-	}
-}
-
-func TestModelFileApplyToMismatch(t *testing.T) {
-	q := NewQuantizer(toyModel(22))
-	blob, _ := q.MarshalModel()
-	f, _ := ReadModelFile(bytes.NewReader(blob))
-	f.Codes = f.Codes[:10]
-	if err := f.ApplyTo(q); err == nil {
-		t.Fatal("weight-count mismatch must be rejected")
 	}
 }

@@ -27,21 +27,6 @@ func (t *Tensor) Clamp(lo, hi float32) {
 	}
 }
 
-// Sign writes sgn(t) into dst: -1, 0 or +1 per element.
-func Sign(dst, t *Tensor) {
-	checkSame2(dst, t)
-	for i, v := range t.data {
-		switch {
-		case v > 0:
-			dst.data[i] = 1
-		case v < 0:
-			dst.data[i] = -1
-		default:
-			dst.data[i] = 0
-		}
-	}
-}
-
 // Sum returns the sum of all elements (accumulated in float64 for
 // stability).
 func (t *Tensor) Sum() float32 {
@@ -83,16 +68,6 @@ func (t *Tensor) ArgMaxRow(r int) int {
 		}
 	}
 	return best
-}
-
-// Dot returns the inner product of two equally shaped tensors.
-func Dot(a, b *Tensor) float32 {
-	checkSame2(a, b)
-	var s float64
-	for i := range a.data {
-		s += float64(a.data[i]) * float64(b.data[i])
-	}
-	return float32(s)
 }
 
 // Norm2 returns the Euclidean norm of the tensor.

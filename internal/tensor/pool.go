@@ -95,8 +95,7 @@ func PutF32(s []float32) {
 }
 
 // GetTensor returns a pooled tensor of the given shape with unspecified
-// contents; GetTensorZeroed returns one filled with zeros. Release with
-// PutTensor.
+// contents. Release with PutTensor.
 func GetTensor(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
@@ -106,13 +105,6 @@ func GetTensor(shape ...int) *Tensor {
 		n *= d
 	}
 	return &Tensor{data: GetF32(n), shape: append([]int(nil), shape...)}
-}
-
-// GetTensorZeroed is GetTensor with the storage cleared.
-func GetTensorZeroed(shape ...int) *Tensor {
-	t := GetTensor(shape...)
-	t.Zero()
-	return t
 }
 
 // PutTensor recycles a tensor obtained from GetTensor. The tensor (and

@@ -59,9 +59,6 @@ func (t *Tensor) Len() int { return len(t.data) }
 // Dim returns the size of dimension i.
 func (t *Tensor) Dim(i int) int { return t.shape[i] }
 
-// NDim returns the number of dimensions.
-func (t *Tensor) NDim() int { return len(t.shape) }
-
 // At returns the element at the given multi-dimensional index.
 func (t *Tensor) At(idx ...int) float32 {
 	return t.data[t.offset(idx)]

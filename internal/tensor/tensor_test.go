@@ -11,7 +11,7 @@ func TestNewShapeAndLen(t *testing.T) {
 	if x.Len() != 24 {
 		t.Fatalf("Len = %d, want 24", x.Len())
 	}
-	if x.NDim() != 3 || x.Dim(1) != 3 {
+	if len(x.Shape()) != 3 || x.Dim(1) != 3 {
 		t.Fatalf("bad dims: %v", x.Shape())
 	}
 }
@@ -118,22 +118,10 @@ func TestScaleAddScaledClamp(t *testing.T) {
 	}
 }
 
-func TestSign(t *testing.T) {
-	a := FromSlice([]float32{-5, 0, 7}, 3)
-	dst := New(3)
-	Sign(dst, a)
-	if dst.Data()[0] != -1 || dst.Data()[1] != 0 || dst.Data()[2] != 1 {
-		t.Fatalf("Sign: %v", dst.Data())
-	}
-}
-
 func TestSumDotNorm(t *testing.T) {
 	a := FromSlice([]float32{3, 4}, 2)
 	if a.Sum() != 7 {
 		t.Fatalf("Sum = %v", a.Sum())
-	}
-	if got := Dot(a, a); got != 25 {
-		t.Fatalf("Dot = %v", got)
 	}
 	if math.Abs(float64(a.Norm2())-5) > 1e-6 {
 		t.Fatalf("Norm2 = %v", a.Norm2())
@@ -322,11 +310,11 @@ func TestCol2ImIsIm2ColAdjoint(t *testing.T) {
 
 	colX := make([]float32, colLen)
 	Im2Col(x.Data(), c, h, w, kh, kw, stride, pad, colX)
-	lhs := Dot(FromSlice(colX, colLen), y)
+	lhs := MatMul(FromSlice(colX, 1, colLen), y.Reshape(colLen, 1)).Data()[0]
 
 	back := make([]float32, c*h*w)
 	Col2Im(y.Data(), c, h, w, kh, kw, stride, pad, back)
-	rhs := Dot(x, FromSlice(back, c*h*w))
+	rhs := MatMul(FromSlice(back, 1, c*h*w), x.Reshape(c*h*w, 1)).Data()[0]
 
 	if math.Abs(float64(lhs-rhs)) > 1e-2 {
 		t.Fatalf("adjoint identity violated: %v vs %v", lhs, rhs)

@@ -86,10 +86,3 @@ func QuantizedMACSweep(c *CPU, weights, activations []int8) (faults int) {
 	}
 	return faults
 }
-
-// Float32MACSweep models the paper's float experiment: floating-point
-// multiplies route through a different unit that the undervolt did not
-// fault at all in their measurements; the simulator reflects that.
-func Float32MACSweep(c *CPU, weights, activations []float32) (faults int) {
-	return 0
-}

@@ -41,9 +41,6 @@ func TestQuantizedInferenceImmune(t *testing.T) {
 	if faults := QuantizedMACSweep(c, weights, acts); faults != 0 {
 		t.Fatalf("8-bit quantized MACs faulted %d times — appendix F says zero", faults)
 	}
-	if faults := Float32MACSweep(c, []float32{1e9}, []float32{1e9}); faults != 0 {
-		t.Fatal("float multiplies should not fault in the model")
-	}
 }
 
 func TestFaultFlipsHighProductBits(t *testing.T) {

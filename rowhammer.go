@@ -1,6 +1,7 @@
 package rowhammer
 
 import (
+	"cmp"
 	"fmt"
 
 	"rowhammer/internal/campaign"
@@ -118,14 +119,19 @@ type AttackConfig struct {
 // the learned trigger.
 type Offline struct {
 	inner   *core.Result
-	model   *modelHandle
+	victim  *Victim
 	target  int
 	NFlip   int
 	Trigger *Trigger
 }
 
-type modelHandle struct {
-	victim *Victim
+// checkVictim rejects an offline result that was not produced from v's
+// trained model: its flip requirements and trigger mean nothing there.
+func (o *Offline) checkVictim(v *Victim) error {
+	if o.victim.result != v.result {
+		return fmt.Errorf("rowhammer: offline result was produced from a different victim")
+	}
+	return nil
 }
 
 // InjectBackdoor runs Algorithm 1 (CFT+BR) against a fresh clone of the
@@ -146,13 +152,13 @@ func InjectBackdoor(v *Victim, cfg AttackConfig) (*Offline, error) {
 		}
 	}
 	acfg := core.DefaultConfig(nflip, cfg.TargetClass)
-	acfg.Iterations = or(cfg.Iterations, 100)
+	acfg.Iterations = cmp.Or(cfg.Iterations, 100)
 	acfg.BitReduceEvery = acfg.Iterations / 2
 	if acfg.BitReduceEvery < 1 {
 		acfg.BitReduceEvery = 1
 	}
 	acfg.Eta = 2
-	acfg.Epsilon = or(cfg.Epsilon, 0.02)
+	acfg.Epsilon = cmp.Or(cfg.Epsilon, 0.02)
 	if cfg.Alpha != 0 {
 		acfg.Alpha = cfg.Alpha
 	}
@@ -166,7 +172,7 @@ func InjectBackdoor(v *Victim, cfg AttackConfig) (*Offline, error) {
 	}
 	return &Offline{
 		inner:   out,
-		model:   &modelHandle{victim: v},
+		victim:  v,
 		target:  cfg.TargetClass,
 		NFlip:   out.NFlip,
 		Trigger: out.Trigger,
@@ -179,7 +185,7 @@ func InjectBackdoor(v *Victim, cfg AttackConfig) (*Offline, error) {
 // actually flips — with batches fanned out across the worker pool.
 func (o *Offline) OfflineMetrics() (ta, asr float64) {
 	ev := metrics.NewEvaluator(quant.NewQModel(o.inner.Quantizer))
-	test := o.model.victim.result.Test
+	test := o.victim.result.Test
 	return ev.TestAccuracy(test), ev.AttackSuccessRate(test, o.inner.Trigger, o.target)
 }
 
@@ -283,6 +289,9 @@ func (hw HardwareConfig) spec(file []byte, reqs []profile.PageRequirement) serve
 // victim's clean deployed weight file and the offline phase's per-page
 // flip requirements.
 func attackInputs(v *Victim, off *Offline) ([]byte, []profile.PageRequirement, error) {
+	if err := off.checkVictim(v); err != nil {
+		return nil, nil, err
+	}
 	clean, err := pretrain.CloneModel(v.cfg, v.result.Model)
 	if err != nil {
 		return nil, nil, err
@@ -359,6 +368,17 @@ type Report struct {
 // Evaluate loads the corrupted weight file into a fresh victim instance
 // and measures the deployed backdoor.
 func Evaluate(v *Victim, off *Offline, on *Online) (*Report, error) {
+	if err := off.checkVictim(v); err != nil {
+		return nil, err
+	}
+	victimModel, err := pretrain.CloneModel(v.cfg, v.result.Model)
+	if err != nil {
+		return nil, err
+	}
+	qv := quant.NewQuantizer(victimModel)
+	if n, want := len(on.inner.CorruptedFile), qv.NumPages()*quant.PageSize; n != want {
+		return nil, fmt.Errorf("rowhammer: online result holds a %d-byte weight file, the victim's is %d bytes", n, want)
+	}
 	offTA, offASR := off.OfflineMetrics()
 	rep := &Report{
 		CleanAccuracy: v.CleanAccuracy(),
@@ -368,11 +388,6 @@ func Evaluate(v *Victim, off *Offline, on *Online) (*Report, error) {
 		NFlipOnline:   on.NFlipOnline,
 		RMatch:        on.RMatch,
 	}
-	victimModel, err := pretrain.CloneModel(v.cfg, v.result.Model)
-	if err != nil {
-		return nil, err
-	}
-	qv := quant.NewQuantizer(victimModel)
 	qv.LoadWeightFileBytes(on.inner.CorruptedFile)
 	// The victim serves the corrupted file through the int8 engine —
 	// exactly what deployment-form quantized inference would run. The
@@ -478,7 +493,7 @@ func ServeUnderFire(v *Victim, off *Offline, hw HardwareConfig, opts ServeOption
 	// The DeepDyve checker: a small model trained on the same task with
 	// a different seed, served int8 so the whole protocol runs on
 	// concurrency-safe engines.
-	checkerSeed := or(opts.CheckerSeed, v.seed+1000)
+	checkerSeed := cmp.Or(opts.CheckerSeed, v.seed+1000)
 	checkerCfg := models.Config{Arch: "resnet20", Classes: v.cfg.Classes, WidthMult: 0.25, Seed: checkerSeed}
 	checkerRes, err := pretrain.TrainCached(pretrain.Config{
 		Model:  checkerCfg,
@@ -502,11 +517,11 @@ func ServeUnderFire(v *Victim, off *Offline, hw HardwareConfig, opts ServeOption
 		Trigger: off.Trigger,
 		Target:  off.target,
 		Serve: serve.Config{
-			BatchMax: or(opts.BatchMax, 32),
-			Workers:  or(opts.Workers, 1),
+			BatchMax: cmp.Or(opts.BatchMax, 32),
+			Workers:  cmp.Or(opts.Workers, 1),
 		},
 		Cfg: serve.FireConfig{
-			Seed:            or(opts.Seed, job.Online.MeasureSeed),
+			Seed:            cmp.Or(opts.Seed, job.Online.MeasureSeed),
 			ReplayQueries:   opts.ReplayQueries,
 			TriggerFraction: opts.TriggerFraction,
 			LiveClients:     opts.LiveClients,
@@ -546,13 +561,4 @@ func ServeUnderFire(v *Victim, off *Offline, hw HardwareConfig, opts ServeOption
 		})
 	}
 	return tl, nil
-}
-
-// or returns v, or def when v is the zero value.
-func or[T comparable](v, def T) T {
-	var zero T
-	if v == zero {
-		return def
-	}
-	return v
 }

@@ -3,6 +3,9 @@ package rowhammer
 import (
 	"bytes"
 	"testing"
+
+	"rowhammer/internal/core"
+	"rowhammer/internal/quant"
 )
 
 // TestPublicAPIEndToEnd drives the façade through the whole pipeline at
@@ -214,5 +217,65 @@ func TestHammerOnlineUnknownDevice(t *testing.T) {
 	}
 	if _, err := HammerOnline(victim, off, HardwareConfig{Device: "Z9"}); err == nil {
 		t.Fatal("unknown device must fail")
+	}
+}
+
+func TestInjectBackdoorRejectsBadTriggerSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy: trains a victim model; run without -short")
+	}
+	victim, err := TrainVictim(VictimConfig{Arch: "resnet20", Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{40, -2} {
+		if _, err := InjectBackdoor(victim, AttackConfig{TargetClass: 1, Iterations: 1, TriggerSize: size}); err == nil {
+			t.Fatalf("trigger size %d on a 32×32 victim must fail", size)
+		}
+	}
+}
+
+// TestEntryPointsRejectForeignVictim hands every entry point that takes
+// (victim, offline[, online]) results produced from another victim.
+func TestEntryPointsRejectForeignVictim(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy: trains a victim model; run without -short")
+	}
+	a, err := TrainVictim(VictimConfig{Arch: "resnet20", Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := TrainVictim(VictimConfig{Arch: "vgg11", TrainSamples: 64, TestSamples: 32, Epochs: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	offA, err := InjectBackdoor(a, AttackConfig{TargetClass: 2, Iterations: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw := HardwareConfig{Seed: 3}
+	onA, err := HammerOnline(a, offA, hw)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := Evaluate(b, offA, onA); err == nil {
+		t.Error("Evaluate accepted another victim's offline result")
+	}
+	if _, err := HammerOnline(b, offA, hw); err == nil {
+		t.Error("HammerOnline accepted another victim's offline result")
+	}
+	if _, err := ServeUnderFire(b, offA, hw, ServeOptions{}); err == nil {
+		t.Error("ServeUnderFire accepted another victim's offline result")
+	}
+	if _, err := RunFleet(b, offA, []FleetModule{{Hardware: hw}}, FleetConfig{}); err == nil {
+		t.Error("RunFleet accepted another victim's offline result")
+	}
+	short := &Online{inner: &core.OnlineResult{CorruptedFile: onA.inner.CorruptedFile[:quant.PageSize]}}
+	if _, err := Evaluate(a, offA, short); err == nil {
+		t.Error("Evaluate accepted a corrupted file of the wrong length")
+	}
+	if _, err := Evaluate(a, offA, onA); err != nil {
+		t.Errorf("Evaluate on the attack's own victim: %v", err)
 	}
 }
