@@ -18,6 +18,7 @@ import (
 	"rowhammer/internal/data"
 	"rowhammer/internal/models"
 	"rowhammer/internal/nn"
+	"rowhammer/internal/quant"
 	"rowhammer/internal/tensor"
 )
 
@@ -151,12 +152,11 @@ func readGolden(t *testing.T) map[string]string {
 	return got
 }
 
-// writeGolden replaces this kernel set's lines for the given digests
+// writeGolden replaces kernel set set's lines for the given digests
 // and keeps every other line, such as the Table 2 digest that
 // internal/experiments checks.
-func writeGolden(t *testing.T, old map[string]string, digests map[string]string) {
+func writeGolden(t *testing.T, old map[string]string, set string, digests map[string]string) {
 	t.Helper()
-	set := kernelSet()
 	for name, sum := range digests {
 		old[set+" "+name] = sum
 	}
@@ -167,9 +167,11 @@ func writeGolden(t *testing.T, old map[string]string, digests map[string]string)
 	sort.Strings(keys)
 	var sb strings.Builder
 	sb.WriteString("# sha256 digests of reference computations, keyed by kernel set.\n")
-	sb.WriteString("# Recomputed by TestGoldenDigests (internal/pretrain); regenerate with\n")
+	sb.WriteString("# Recomputed by TestGoldenDigests and TestGoldenQuantForward\n")
+	sb.WriteString("# (internal/pretrain); regenerate with\n")
 	sb.WriteString("#   go test ./internal/pretrain -run TestGoldenDigests -update\n")
-	sb.WriteString("# and say why in CHANGES.md.\n")
+	sb.WriteString("# (or -run TestGoldenQuantForward for the \"any\" lines) and say why\n")
+	sb.WriteString("# in CHANGES.md. An \"any\" line must hold under every kernel set.\n")
 	for _, k := range keys {
 		fmt.Fprintf(&sb, "%s %s\n", k, old[k])
 	}
@@ -207,7 +209,7 @@ func TestGoldenDigests(t *testing.T) {
 		if _, err := os.Stat(goldenFile); err == nil {
 			golden = readGolden(t)
 		}
-		writeGolden(t, golden, digests)
+		writeGolden(t, golden, kernelSet(), digests)
 		return
 	}
 	golden := readGolden(t)
@@ -233,5 +235,113 @@ func TestGoldenDigests(t *testing.T) {
 		t.Skipf("no golden digests for the %s kernel set", set)
 	case missing > 0:
 		t.Errorf("%d of %d digests have no golden value for the %s kernel set", missing, len(names), set)
+	}
+}
+
+// quantForwardDigests runs QModel.Forward on a fixed synthetic batch
+// for ResNet-20, VGG-11 and ResNet-50 (bottleneck 1×1 convs) at width
+// 0.25, at batch 64 (the evaluator's batch) and batch 1 (serving),
+// clean and trigger-stamped, and returns the sha256 of each run's
+// logits. Batch norm's affine parameters and running statistics are
+// drawn from a seeded RNG before quantizing, so the fused epilogue
+// folds non-trivial coefficients. short drops the batch-64 ResNet-50
+// runs.
+func quantForwardDigests(t *testing.T, short bool) map[string]string {
+	t.Helper()
+	ds := data.Synthesize(data.SynthCIFAR(64, 5), 6)
+	clean := ds.Batches(64)[0].Images
+	trig := clean.Clone()
+	tr := data.NewSquareTrigger(3, 32, 32, 10)
+	tensor.NewRNG(8).FillUniform(tr.Pattern, 0, 1)
+	tr.Apply(trig)
+	inputs := []struct {
+		name string
+		x    *tensor.Tensor
+	}{{"clean", clean}, {"trigger", trig}}
+
+	out := map[string]string{}
+	for _, arch := range []string{"resnet20", "vgg11", "resnet50"} {
+		m, err := models.Build(models.Config{Arch: arch, Classes: 10, WidthMult: 0.25, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := tensor.NewRNG(4)
+		nn.Walk(m.Root, func(l nn.Layer) {
+			bn, ok := l.(*nn.BatchNorm2D)
+			if !ok {
+				return
+			}
+			rng.FillUniform(bn.Gamma.W, 0.5, 1.5)
+			rng.FillUniform(bn.Beta.W, -0.2, 0.2)
+			for i := range bn.RunningMean {
+				bn.RunningMean[i] = float32(rng.Float64()*0.4 - 0.2)
+				bn.RunningVar[i] = float32(rng.Float64() + 0.5)
+			}
+		})
+		qm := quant.NewQModel(quant.NewQuantizer(m))
+		for _, batch := range []int{64, 1} {
+			if short && batch == 64 && arch == "resnet50" {
+				continue
+			}
+			for _, in := range inputs {
+				x := in.x
+				if batch == 1 {
+					x = tensor.FromSlice(in.x.Data()[:3*32*32], 1, 3, 32, 32)
+				}
+				logits := qm.Forward(x).Data()
+				for _, v := range logits {
+					if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+						t.Fatalf("%s b%d %s: non-finite logit %v", arch, batch, in.name, v)
+					}
+				}
+				d := newDigester()
+				d.floats(logits)
+				out[fmt.Sprintf("qfwd/%s_w025/b%d_%s", arch, batch, in.name)] = d.sum()
+			}
+		}
+	}
+	return out
+}
+
+// TestGoldenQuantForward holds the int8 engine's logits byte-identical
+// to the committed "any" digests under the selected kernel set and
+// under the portable twins: int32 accumulation is exact, and every
+// float step of the engine (quantize, dequantizing epilogue, residual
+// add) gives the same bits in both sets (DESIGN §12, §13). -short
+// skips the batch-64 ResNet-50 runs.
+func TestGoldenQuantForward(t *testing.T) {
+	got := quantForwardDigests(t, testing.Short())
+	if tensor.AcceleratedKernels() {
+		restore := tensor.ForcePortableKernels()
+		portable := quantForwardDigests(t, testing.Short())
+		restore()
+		for name, sum := range got {
+			if portable[name] != sum {
+				t.Errorf("%s: avx2 digest %s, portable %s", name, sum, portable[name])
+			}
+		}
+	}
+	if *updateGolden {
+		if testing.Short() {
+			t.Fatal("-update needs the full run (drop -short)")
+		}
+		writeGolden(t, readGolden(t), "any", got)
+		return
+	}
+	golden := readGolden(t)
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		want, ok := golden["any "+name]
+		if !ok {
+			t.Errorf("any %s: no golden digest", name)
+			continue
+		}
+		if got[name] != want {
+			t.Errorf("any %s: digest %s, golden %s", name, got[name], want)
+		}
 	}
 }
