@@ -111,9 +111,13 @@ check-bench:
 ## never compiles, whose tests then run), plus a cross-compile of the portable (non-AVX2) code paths — the
 ## asm files are amd64-gated, so arm64 must build pure Go — plus the
 ## committed-benchmark schema check and the race suite over the concurrent
-## engines. On an AVX2 host it also reruns the elementwise kernel identity
-## tests built with GOAMD64=v3, where the compiler may use FMA: they fail
-## if it ever fuses a portable twin's multiply and add (DESIGN §12).
+## engines. On an AVX2 host it also reruns the elementwise and int8
+## data-path kernel identity tests, the int8 lowering grid and the int8
+## golden logits built with GOAMD64=v3, where the compiler may use FMA:
+## they fail if it ever fuses a portable twin's multiply and add
+## (DESIGN §12, §13).
+V3_TESTS = Elementwise|BNAffine|BNSums|BatchNormMatches|Int8Path|QuantizePlanes|ConvI8|GoldenQuantForward
+
 vet: check-bench test-race
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
@@ -121,6 +125,6 @@ vet: check-bench test-race
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	GOARCH=arm64 $(GO) build ./...
 	@if grep -qw avx2 /proc/cpuinfo 2>/dev/null; then \
-		echo "GOAMD64=v3 $(GO) test -run 'Elementwise|BNAffine|BNSums|BatchNormMatches' ./internal/tensor ./internal/nn"; \
-		GOAMD64=v3 $(GO) test -count=1 -run 'Elementwise|BNAffine|BNSums|BatchNormMatches' ./internal/tensor ./internal/nn; \
+		echo "GOAMD64=v3 $(GO) test -run '$(V3_TESTS)' ./internal/tensor ./internal/nn ./internal/pretrain"; \
+		GOAMD64=v3 $(GO) test -count=1 -run '$(V3_TESTS)' ./internal/tensor ./internal/nn ./internal/pretrain; \
 	else echo "vet: no AVX2 CPU, skipping the GOAMD64=v3 kernel identity tests"; fi

@@ -20,6 +20,11 @@
 //     the committed perf history.
 //
 //     go run ./cmd/benchjson -check BENCH_*.json
+//
+// Every report it writes carries a host object recording where the
+// numbers came from: CPU count, the benchmarks' GOMAXPROCS, GOAMD64,
+// CPU model and the commit. -check validates the object when present;
+// reports written before it existed have none.
 package main
 
 import (
@@ -31,6 +36,8 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -53,21 +60,93 @@ type Entry struct {
 // Report is the top-level JSON document.
 type Report struct {
 	Benchmarks []Entry `json:"benchmarks"`
+	// Host describes the machine and build of the run; absent in
+	// reports written before it was recorded.
+	Host *Host `json:"host,omitempty"`
 }
 
-func parseLine(line string) (Entry, bool) {
+// Host is the run's provenance.
+type Host struct {
+	// NProc is the number of logical CPUs benchjson saw.
+	NProc int `json:"nproc"`
+	// GOMAXPROCS is the benchmarks' GOMAXPROCS: the -N suffix of the
+	// first benchmark line, or 1 when go test printed none.
+	GOMAXPROCS int `json:"gomaxprocs"`
+	// GOAMD64 is the amd64 microarchitecture level of the build
+	// (`go env GOAMD64`), empty off amd64.
+	GOAMD64 string `json:"goamd64"`
+	// CPU is the model go test reported on its "cpu:" line.
+	CPU string `json:"cpu"`
+	// Commit is the checked-out commit (`git rev-parse --short HEAD`),
+	// suffixed "-dirty" when the tree has uncommitted changes, or
+	// "unknown" outside a git checkout.
+	Commit string `json:"commit"`
+}
+
+var (
+	goamd64Re = regexp.MustCompile(`^v[1-4]$`)
+	commitRe  = regexp.MustCompile(`^([0-9a-f]{7,40}(-dirty)?|unknown)$`)
+)
+
+// validate checks a host object's fields.
+func (h *Host) validate() error {
+	switch {
+	case h.NProc < 1:
+		return fmt.Errorf("host.nproc %d", h.NProc)
+	case h.GOMAXPROCS < 1:
+		return fmt.Errorf("host.gomaxprocs %d", h.GOMAXPROCS)
+	case h.GOAMD64 != "" && !goamd64Re.MatchString(h.GOAMD64):
+		return fmt.Errorf("host.goamd64 %q", h.GOAMD64)
+	case strings.TrimSpace(h.CPU) == "":
+		return fmt.Errorf("host.cpu is empty")
+	case !commitRe.MatchString(h.Commit):
+		return fmt.Errorf("host.commit %q", h.Commit)
+	}
+	return nil
+}
+
+// output runs a command and returns its trimmed stdout, or "" on error.
+func output(name string, args ...string) string {
+	out, err := exec.Command(name, args...).Output()
+	if err != nil {
+		return ""
+	}
+	return strings.TrimSpace(string(out))
+}
+
+// hostInfo gathers the host object for a run whose first benchmark
+// line carried GOMAXPROCS procs and whose go test output named cpu.
+func hostInfo(procs int, cpu string) *Host {
+	h := &Host{NProc: runtime.NumCPU(), GOMAXPROCS: procs, CPU: cpu}
+	if runtime.GOARCH == "amd64" {
+		h.GOAMD64 = output("go", "env", "GOAMD64")
+	}
+	h.Commit = output("git", "rev-parse", "--short", "HEAD")
+	switch {
+	case h.Commit == "":
+		h.Commit = "unknown"
+	case output("git", "status", "--porcelain", "--untracked-files=no") != "":
+		h.Commit += "-dirty"
+	}
+	return h
+}
+
+// parseLine parses one benchmark result line, returning the entry and
+// the GOMAXPROCS its name suffix records (1 when there is none).
+func parseLine(line string) (Entry, int, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return Entry{}, false
+		return Entry{}, 0, false
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Entry{}, false
+		return Entry{}, 0, false
 	}
 	name := fields[0]
+	procs := 1
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		if p, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], p
 		}
 	}
 	e := Entry{Name: name, Iterations: iters}
@@ -92,7 +171,7 @@ func parseLine(line string) (Entry, bool) {
 			e.MBPerSec = &m
 		}
 	}
-	return e, seen
+	return e, procs, seen
 }
 
 // loadReport reads a benchjson report strictly: unknown fields, trailing
@@ -125,6 +204,11 @@ func loadReport(path string) (Report, error) {
 		}
 		if e.NsPerOp <= 0 {
 			return Report{}, fmt.Errorf("%s: %s: ns_per_op %v", path, e.Name, e.NsPerOp)
+		}
+	}
+	if rep.Host != nil {
+		if err := rep.Host.validate(); err != nil {
+			return Report{}, fmt.Errorf("%s: %w", path, err)
 		}
 	}
 	return rep, nil
@@ -226,14 +310,22 @@ func main() {
 	}
 
 	var rep Report
+	procs := 0
+	cpu := ""
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		// Echo the raw output so the human still sees the run.
 		fmt.Fprintln(os.Stderr, line)
-		if e, ok := parseLine(line); ok {
+		if c, ok := strings.CutPrefix(line, "cpu: "); ok && cpu == "" {
+			cpu = strings.TrimSpace(c)
+		}
+		if e, p, ok := parseLine(line); ok {
 			rep.Benchmarks = append(rep.Benchmarks, e)
+			if procs == 0 {
+				procs = p
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -264,6 +356,10 @@ func main() {
 		}
 		rep.Benchmarks = append(base.Benchmarks, rep.Benchmarks...)
 	}
+	if cpu == "" {
+		cpu = "unknown"
+	}
+	rep.Host = hostInfo(procs, cpu)
 	data, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)

@@ -31,11 +31,13 @@ import (
 //   - Unknown layers (e.g. the binarization-aware convolutions) fall
 //     back to their float Forward, bridged by layout conversions.
 //
-// Activations flow in channel-major CNHW order: a conv's batched im2col
+// Activations flow in channel-major CNHW order: a conv's lowered
 // columns form ONE wide matrix (every sample side by side), so each
 // layer is a single GEMM whose int32 output is already the next layer's
 // CNHW input — no per-sample kernel launches and no layout shuffles in
-// the hot loop.
+// the hot loop. The lowered matrix is never built: the input is
+// quantized into zero-padded planes and the GEMM packs its panels
+// straight from them (tensor.ConvI8; DESIGN §13).
 //
 // Weight panels and fused epilogue coefficients live in published
 // epoch snapshots (epoch.go): the quantizer's code-change notifications
@@ -292,53 +294,37 @@ func workersFor(work int) int {
 	return tensor.MaxWorkers()
 }
 
-// quantizeSlice quantizes src into dst with the dynamic per-tensor
-// activation scale max|x|/127 and round-to-nearest, returning the scale.
-func quantizeSlice(dst []int8, src []float32) float32 {
+// quantizeAct quantizes a channel-major activation with the dynamic
+// per-tensor scale max|x|/127 and round-to-nearest, returning the scale
+// and the codes (pooled; release with tensor.PutI8): each (c, n) plane
+// is written into a (h+2·pad)×(w+2·pad) plane with a zero border pad
+// wide, the layout tensor.ConvI8 reads. An all-zero activation (NaN
+// aside) gets scale 1 and all-zero codes.
+func quantizeAct(in *qact, pad int) ([]int8, float32) {
+	src := in.data
 	workers := workersFor(len(src))
 	var mu sync.Mutex
 	var maxAbs float32
 	tensor.ParallelChunks(len(src), workers, func(lo, hi int) {
-		var m float32
-		for _, v := range src[lo:hi] {
-			if v < 0 {
-				v = -v
-			}
-			if v > m {
-				m = v
-			}
-		}
+		m := tensor.MaxAbs(src[lo:hi])
 		mu.Lock()
 		if m > maxAbs {
 			maxAbs = m
 		}
 		mu.Unlock()
 	})
+	h, w := in.h, in.w
+	plane := (h + 2*pad) * (w + 2*pad)
+	xq := tensor.GetI8(in.c * in.n * plane)
 	if maxAbs == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return 1
+		clear(xq)
+		return xq, 1
 	}
 	inv := qmax / maxAbs
-	tensor.ParallelChunks(len(src), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f := src[i] * inv
-			var c int32
-			if f >= 0 {
-				c = int32(f + 0.5)
-			} else {
-				c = int32(f - 0.5)
-			}
-			if c > qmax {
-				c = qmax
-			} else if c < -qmax {
-				c = -qmax
-			}
-			dst[i] = int8(c)
-		}
+	tensor.ParallelChunks(in.c*in.n, workers, func(lo, hi int) {
+		tensor.QuantizePlanesI8(xq[lo*plane:hi*plane], src[lo*h*w:hi*h*w], h, w, pad, inv)
 	})
-	return maxAbs / qmax
+	return xq, maxAbs / qmax
 }
 
 // ---------------------------------------------------------------------
@@ -530,10 +516,11 @@ func (qm *QModel) compile(layers []nn.Layer) []qOp {
 // Ops.
 
 // qConvOp is a fused Conv[+BN][+ReLU] layer on int8 codes: quantize the
-// input, batched im2col into one wide column matrix, one int8 GEMM, and
-// a per-channel fp32 epilogue folding the activation/weight scales, the
-// conv bias and the BatchNorm affine (running statistics) — plus the
-// ReLU clamp — into a single pass over the int32 accumulators.
+// input into padded planes, one int8 GEMM over their implicit im2col
+// lowering, and a per-channel fp32 epilogue folding the
+// activation/weight scales, the conv bias and the BatchNorm affine
+// (running statistics) — plus the ReLU clamp — into a single pass over
+// the int32 accumulators.
 type qConvOp struct {
 	qweights
 	conv *nn.Conv2D
@@ -546,36 +533,20 @@ func (op *qConvOp) forward(ec *execEnv, in *qact) *qact {
 	if in.c != inC {
 		panic("quant: conv input channel mismatch")
 	}
-	n, h, w := in.n, in.h, in.w
-	oh, ow := op.conv.OutSize(h, w)
-	ohow := oh * ow
-	ncols := n * ohow
-	ckk := inC * kh * kw
+	n := in.n
+	oh, ow := op.conv.OutSize(in.h, in.w)
+	ncols := n * oh * ow
 
-	xq := tensor.GetI8(len(in.data))
-	sx := quantizeSlice(xq, in.data)
-
-	bcol := tensor.GetI8(ckk * ncols)
-	chanStride := n * h * w
-	hwIn := h * w
-	tensor.ParallelChunks(n, workersFor(ckk*ncols), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			tensor.Im2ColI8(xq[i*hwIn:], chanStride, inC, h, w, kh, kw, stride, pad,
-				bcol, ncols, i*ohow)
-		}
-	})
-	tensor.PutI8(xq)
-
+	xq, sx := quantizeAct(in, pad)
 	sl := ec.slotOf(&op.qweights)
 	acc := tensor.GetI32(outC * ncols)
-	pa := ec.panelsOf(&op.qweights, sl)
-	tensor.GemmI8PackedA(acc, pa, outC, ckk, bcol, ncols)
-	tensor.PutI8(bcol)
+	tensor.GemmI8PackedA(acc, ec.panelsOf(&op.qweights, sl), outC, inC*kh*kw, ncols,
+		tensor.ConvI8(xq, inC, n, in.h+2*pad, in.w+2*pad, kh, kw, stride))
+	tensor.PutI8(xq)
 
 	out := getAct(outC, n, oh, ow)
 	base := sx * op.scale
 	cA, cS := sl.cA, sl.cS
-	relu := op.relu
 	od := out.data
 	tensor.ParallelChunks(outC, workersFor(outC*ncols), func(lo, hi int) {
 		for oc := lo; oc < hi; oc++ {
@@ -590,21 +561,7 @@ func (op *qConvOp) forward(ec *execEnv, in *qact) *qact {
 			if cS != nil {
 				so = cS[oc]
 			}
-			src := acc[oc*ncols : (oc+1)*ncols]
-			dst := od[oc*ncols : (oc+1)*ncols]
-			if relu {
-				for j, v := range src {
-					f := float32(v)*mo + so
-					if f < 0 {
-						f = 0
-					}
-					dst[j] = f
-				}
-			} else {
-				for j, v := range src {
-					dst[j] = float32(v)*mo + so
-				}
-			}
+			tensor.DequantI32(od[oc*ncols:(oc+1)*ncols], acc[oc*ncols:], mo, so, op.relu)
 		}
 	})
 	tensor.PutI32(acc)
@@ -646,10 +603,10 @@ func (op *qConvOp) epochCoeffs() (cA, cS []float32) {
 	return cA, cS
 }
 
-// qLinearOp is a fused Linear[+ReLU] on int8 codes. The channel-major
-// activation (c·h·w, n) is exactly the (In × N) right-hand side the
-// GEMM wants; when h=w=1 (the classifier position) the quantized input
-// needs no gather at all.
+// qLinearOp is a fused Linear[+ReLU] on int8 codes. At h = w = 1 (the
+// classifier position) the channel-major activation (c, n) is exactly
+// the (In × N) right-hand side the GEMM wants; on a spatial input the
+// packer gathers the flatten order from the planes.
 type qLinearOp struct {
 	qweights
 	lin  *nn.Linear
@@ -668,92 +625,28 @@ func (op *qLinearOp) epochCoeffs() (cA, cS []float32) {
 func (op *qLinearOp) forward(ec *execEnv, in *qact) *qact {
 	inF, outF := op.lin.Dims()
 	n := in.n
-	hw := in.h * in.w
-	if in.c*hw != inF {
+	if in.c*in.h*in.w != inF {
 		panic("quant: linear input width mismatch")
 	}
-	xq := tensor.GetI8(inF * n)
-	var sx float32
-	if hw == 1 {
-		sx = quantizeSlice(xq, in.data)
-	} else {
-		// Gather (c, n, hw) → (c·hw, n) while quantizing.
-		var mu sync.Mutex
-		var maxAbs float32
-		tensor.ParallelChunks(len(in.data), workersFor(len(in.data)), func(lo, hi int) {
-			var m float32
-			for _, v := range in.data[lo:hi] {
-				if v < 0 {
-					v = -v
-				}
-				if v > m {
-					m = v
-				}
-			}
-			mu.Lock()
-			if m > maxAbs {
-				maxAbs = m
-			}
-			mu.Unlock()
-		})
-		if maxAbs == 0 {
-			maxAbs = qmax // scale 1; all codes quantize to 0
-		}
-		inv := qmax / maxAbs
-		src := in.data
-		for c := 0; c < in.c; c++ {
-			for i := 0; i < n; i++ {
-				base := (c*n + i) * hw
-				for s := 0; s < hw; s++ {
-					f := src[base+s] * inv
-					var q8 int32
-					if f >= 0 {
-						q8 = int32(f + 0.5)
-					} else {
-						q8 = int32(f - 0.5)
-					}
-					if q8 > qmax {
-						q8 = qmax
-					} else if q8 < -qmax {
-						q8 = -qmax
-					}
-					xq[(c*hw+s)*n+i] = int8(q8)
-				}
-			}
-		}
-		sx = maxAbs / qmax
-	}
-
+	// The flatten is a conv whose kernel covers the whole plane: row
+	// c·h·w + s, column i reads plane (c, i) at s. At h = w = 1 that is
+	// the (c, n) activation itself, a plain matrix.
+	xq, sx := quantizeAct(in, 0)
 	sl := ec.slotOf(&op.qweights)
 	acc := tensor.GetI32(outF * n)
-	pa := ec.panelsOf(&op.qweights, sl)
-	tensor.GemmI8PackedA(acc, pa, outF, inF, xq, n)
+	tensor.GemmI8PackedA(acc, ec.panelsOf(&op.qweights, sl), outF, inF, n,
+		tensor.ConvI8(xq, in.c, n, in.h, in.w, in.h, in.w, 1))
 	tensor.PutI8(xq)
 
 	out := getAct(outF, n, 1, 1)
 	mulS := sx * op.scale
 	bias := sl.cS
-	od := out.data
 	for o := 0; o < outF; o++ {
 		var b float32
 		if bias != nil {
 			b = bias[o]
 		}
-		src := acc[o*n : (o+1)*n]
-		dst := od[o*n : (o+1)*n]
-		if op.relu {
-			for i, v := range src {
-				f := float32(v)*mulS + b
-				if f < 0 {
-					f = 0
-				}
-				dst[i] = f
-			}
-		} else {
-			for i, v := range src {
-				dst[i] = float32(v)*mulS + b
-			}
-		}
+		tensor.DequantI32(out.data[o*n:(o+1)*n], acc[o*n:], mulS, b, op.relu)
 	}
 	tensor.PutI32(acc)
 	return out
@@ -840,14 +733,7 @@ func (op *qResidualOp) forward(ec *execEnv, in *qact) *qact {
 	if op.shortcut != nil {
 		so = runOps(op.shortcut, ec, in)
 	}
-	md, sd := mo.data, so.data
-	for i := range md {
-		f := md[i] + sd[i]
-		if f < 0 {
-			f = 0
-		}
-		md[i] = f
-	}
+	tensor.AddClampNeg(mo.data, mo.data, so.data)
 	if so != in {
 		putAct(so)
 	}

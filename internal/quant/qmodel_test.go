@@ -240,13 +240,15 @@ func TestQModelConcurrentForward(t *testing.T) {
 	}
 }
 
-func benchForward(b *testing.B, quantized bool) {
+func benchForward(b *testing.B, quantized bool) { benchForwardBatch(b, quantized, 32) }
+
+func benchForwardBatch(b *testing.B, quantized bool, batch int) {
 	m, err := models.Build(models.Config{Arch: "resnet20", Classes: 10, WidthMult: 0.25, Seed: 9})
 	if err != nil {
 		b.Fatal(err)
 	}
 	q := NewQuantizer(m)
-	x := fixedBatch(m, 32, 29)
+	x := fixedBatch(m, batch, 29)
 	var fwd func() *tensor.Tensor
 	if quantized {
 		qm := NewQModel(q)
@@ -266,6 +268,11 @@ func benchForward(b *testing.B, quantized bool) {
 // resnet20 forward on the int8 engine vs the fp32 graph.
 func BenchmarkQuantForward(b *testing.B) { benchForward(b, true) }
 func BenchmarkFloatForward(b *testing.B) { benchForward(b, false) }
+
+// BenchmarkQuantForwardBatch1 and BenchmarkQuantForwardBatch64 time the
+// int8 engine at the serving batch and at the evaluator's batch.
+func BenchmarkQuantForwardBatch1(b *testing.B)  { benchForwardBatch(b, true, 1) }
+func BenchmarkQuantForwardBatch64(b *testing.B) { benchForwardBatch(b, true, 64) }
 
 // The ST variants pin every layer of parallelism to one thread, so the
 // ratio reflects pure per-core engine speed (the paper's acceptance

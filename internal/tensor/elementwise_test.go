@@ -210,7 +210,7 @@ func TestBNAffineIdentityStatsMatchScaleShift(t *testing.T) {
 func TestForcePortableKernelsRestores(t *testing.T) {
 	was, kern := accelerated, gemmDotABT != nil
 	restore := ForcePortableKernels()
-	if AcceleratedKernels() || gemmDotABT != nil || gemmAxpyB != nil || packBPanelFast != nil {
+	if AcceleratedKernels() || gemmDotABT != nil || gemmAxpyB != nil || packBPanelFast != nil || packConvPanelFast != nil {
 		t.Fatal("forced portable kernels still report an AVX2 kernel")
 	}
 	restore()

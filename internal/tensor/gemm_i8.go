@@ -166,20 +166,22 @@ func GemmI8(c []int32, a []int8, m, k int, b []int8, n int) {
 	}
 	pa := GetI16(PackAI8Len(m, k))
 	PackAI8(pa, a, m, k)
-	GemmI8PackedA(c, pa, m, k, b, n)
+	GemmI8PackedA(c, pa, m, k, n, matrixI8{b: b, n: n})
 	PutI16(pa)
 }
 
 // GemmI8PackedA computes c (int32, m×n row-major, fully overwritten) =
 // A·B where A was packed by PackAI8 (under the current kernel
-// configuration) and B is k×n int8 row-major. Column blocks are
-// distributed over the persistent worker pool; each worker owns a
-// disjoint slab of C, so no synchronization is needed beyond the
-// chunk barrier.
-func GemmI8PackedA(c []int32, pa []int16, m, k int, b []int8, n int) {
+// configuration) and B is the k×n right-hand side src packs. Column
+// blocks are distributed over the persistent worker pool; each worker
+// packs its own B slabs and owns a disjoint slab of C, so no
+// synchronization is needed beyond the chunk barrier. The first k-slab
+// stores its tiles into C and later slabs add to them.
+func GemmI8PackedA(c []int32, pa []int16, m, k, n int, src PackerI8) {
 	c = c[:m*n]
-	for i := range c {
-		c[i] = 0
+	if k == 0 {
+		clear(c)
+		return
 	}
 	nr := gemmI8NR
 	kp := (k + 1) / 2
@@ -195,7 +197,7 @@ func GemmI8PackedA(c []int32, pa []int16, m, k int, b []int8, n int) {
 			nc := min(gemmI8NC, n-jc)
 			for pc := 0; pc < k; pc += gemmI8KC {
 				kc := min(gemmI8KC, k-pc)
-				packBI8Panels(pb, b, n, pc, kc, jc, nc)
+				src.packB(pb, pc, kc, jc, nc)
 				gemmI8Block(c, n, m, jc, nc, pc, kc, kp, pa, pb, tile)
 			}
 		}
@@ -205,14 +207,15 @@ func GemmI8PackedA(c []int32, pa []int16, m, k int, b []int8, n int) {
 }
 
 // gemmI8Block multiplies every packed A panel against one packed B slab
-// (k-pairs [pc/2, pc/2+kc2), columns [jc, jc+nc)), accumulating into C.
-// kp is the total k-pair count of the packed A (the panel stride).
-// Remainder tiles run through the caller's scratch tile, like the
-// float engine.
+// (k-pairs [pc/2, pc/2+kc2), columns [jc, jc+nc)) into C: the first
+// slab (pc = 0) stores, later slabs accumulate. kp is the total k-pair
+// count of the packed A (the panel stride). Remainder tiles run through
+// the caller's scratch tile, like the float engine.
 func gemmI8Block(c []int32, ldc, m, jc, nc, pc, kc, kp int, pa, pb []int16, tile []int32) {
 	mr, nr := gemmI8MR, gemmI8NR
 	kern := gemmI8Kernel
 	kc2 := (kc + 1) / 2
+	acc := pc > 0
 	for jr := 0; jr < nc; jr += nr {
 		bp := pb[(jr/nr)*nr*2*kc2:]
 		cols := min(nr, nc-jr)
@@ -221,30 +224,32 @@ func gemmI8Block(c []int32, ldc, m, jc, nc, pc, kc, kp int, pa, pb []int16, tile
 			rows := min(mr, m-ir)
 			cOff := ir*ldc + jc + jr
 			if rows == mr && cols == nr {
-				kern(kc2, ap, bp, c[cOff:], ldc)
-			} else {
-				t := tile[:mr*nr]
-				for i := range t {
-					t[i] = 0
-				}
-				kern(kc2, ap, bp, t, nr)
-				for r := 0; r < rows; r++ {
-					cr := c[cOff+r*ldc:]
-					tr := t[r*nr:]
-					for cI := 0; cI < cols; cI++ {
-						cr[cI] += tr[cI]
+				kern(kc2, ap, bp, c[cOff:], ldc, acc)
+				continue
+			}
+			t := tile[:mr*nr]
+			kern(kc2, ap, bp, t, nr, false)
+			for r := 0; r < rows; r++ {
+				cr := c[cOff+r*ldc:][:cols]
+				tr := t[r*nr:][:cols]
+				if acc {
+					for cI, v := range tr {
+						cr[cI] += v
 					}
+				} else {
+					copy(cr, tr)
 				}
 			}
 		}
 	}
 }
 
-// gemmI8Kernel2x4 accumulates a full 2×4 int32 tile over int16-pair
-// panels: per k-pair, the A panel supplies 2 row-pairs and the B panel
-// 4 column-pairs. The products are widened to int32 before the
-// multiply, so the accumulation is exact.
-func gemmI8Kernel2x4(kc2 int, ap, bp []int16, c []int32, ldc int) {
+// gemmI8Kernel2x4 computes a full 2×4 int32 tile over int16-pair
+// panels and adds it to c (acc) or stores it there: per k-pair, the A
+// panel supplies 2 row-pairs and the B panel 4 column-pairs. The
+// products are widened to int32 before the multiply, so the
+// accumulation is exact.
+func gemmI8Kernel2x4(kc2 int, ap, bp []int16, c []int32, ldc int, acc bool) {
 	var c00, c01, c02, c03 int32
 	var c10, c11, c12, c13 int32
 	ap = ap[: 4*kc2 : 4*kc2]
@@ -268,15 +273,13 @@ func gemmI8Kernel2x4(kc2 int, ap, bp []int16, c []int32, ldc int) {
 		ai += 4
 	}
 	c0 := c[0:4]
-	c0[0] += c00
-	c0[1] += c01
-	c0[2] += c02
-	c0[3] += c03
 	c1 := c[ldc : ldc+4]
-	c1[0] += c10
-	c1[1] += c11
-	c1[2] += c12
-	c1[3] += c13
+	if acc {
+		c00, c01, c02, c03 = c00+c0[0], c01+c0[1], c02+c0[2], c03+c0[3]
+		c10, c11, c12, c13 = c10+c1[0], c11+c1[1], c12+c1[2], c13+c1[3]
+	}
+	c0[0], c0[1], c0[2], c0[3] = c00, c01, c02, c03
+	c1[0], c1[1], c1[2], c1[3] = c10, c11, c12, c13
 }
 
 // gemmI8Naive is the reference triple loop (also the small-shape path).

@@ -24,7 +24,7 @@ func checkGemmI8(t *testing.T, m, k, n int) {
 	got := make([]int32, m*n)
 	pa := make([]int16, PackAI8Len(m, k))
 	PackAI8(pa, a, m, k)
-	GemmI8PackedA(got, pa, m, k, b, n)
+	GemmI8PackedA(got, pa, m, k, n, matrixI8{b: b, n: n})
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("m=%d k=%d n=%d: c[%d] = %d, want %d", m, k, n, i, got[i], want[i])
@@ -84,6 +84,9 @@ func TestGemmI8SingleWorker(t *testing.T) {
 	checkGemmI8(t, 16, 700, 1100)
 }
 
+// TestIm2ColI8MatchesFloat holds the int8 im2col reference the
+// lowering grid (pack_i8_test.go) checks ConvI8 against to the float
+// Im2Col.
 func TestIm2ColI8MatchesFloat(t *testing.T) {
 	c, h, w := 3, 7, 6
 	kh, kw, stride, pad := 3, 3, 2, 1
@@ -103,8 +106,8 @@ func TestIm2ColI8MatchesFloat(t *testing.T) {
 	for i := range dst {
 		dst[i] = 99 // poison
 	}
-	Im2ColI8(img8, h*w, c, h, w, kh, kw, stride, pad, dst, 2*cols, 0)
-	Im2ColI8(img8, h*w, c, h, w, kh, kw, stride, pad, dst, 2*cols, cols)
+	im2colI8(img8, h*w, c, h, w, kh, kw, stride, pad, dst, 2*cols, 0)
+	im2colI8(img8, h*w, c, h, w, kh, kw, stride, pad, dst, 2*cols, cols)
 	for r := 0; r < c*kh*kw; r++ {
 		for j := 0; j < cols; j++ {
 			ref := want[r*cols+j]
@@ -130,6 +133,6 @@ func BenchmarkGemmI8(b *testing.B) {
 	b.SetBytes(int64(2 * m * n * k))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GemmI8PackedA(c, pa, m, k, bm, n)
+		GemmI8PackedA(c, pa, m, k, n, matrixI8{b: bm, n: n})
 	}
 }

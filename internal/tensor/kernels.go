@@ -18,16 +18,16 @@ func AcceleratedKernels() bool { return accelerated }
 func ForcePortableKernels() (restore func()) {
 	acc := accelerated
 	mr, nr, mc, kern, dot, axpy := gemmMR, gemmNR, gemmMC, gemmKernel, gemmDotABT, gemmAxpyB
-	i8mr, i8nr, i8kern, packB := gemmI8MR, gemmI8NR, gemmI8Kernel, packBPanelFast
+	i8mr, i8nr, i8kern, packB, packConv := gemmI8MR, gemmI8NR, gemmI8Kernel, packBPanelFast, packConvPanelFast
 	index, fill := indexMismatchImpl, fillBytesImpl
 	accelerated = false
 	gemmMR, gemmNR, gemmMC, gemmKernel, gemmDotABT, gemmAxpyB = 2, 4, 64, gemmKernel2x4, nil, nil
-	gemmI8MR, gemmI8NR, gemmI8Kernel, packBPanelFast = 2, 4, gemmI8Kernel2x4, nil
+	gemmI8MR, gemmI8NR, gemmI8Kernel, packBPanelFast, packConvPanelFast = 2, 4, gemmI8Kernel2x4, nil, nil
 	indexMismatchImpl, fillBytesImpl = indexMismatchGo, fillBytesGo
 	return func() {
 		accelerated = acc
 		gemmMR, gemmNR, gemmMC, gemmKernel, gemmDotABT, gemmAxpyB = mr, nr, mc, kern, dot, axpy
-		gemmI8MR, gemmI8NR, gemmI8Kernel, packBPanelFast = i8mr, i8nr, i8kern, packB
+		gemmI8MR, gemmI8NR, gemmI8Kernel, packBPanelFast, packConvPanelFast = i8mr, i8nr, i8kern, packB, packConv
 		indexMismatchImpl, fillBytesImpl = index, fill
 	}
 }

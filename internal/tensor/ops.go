@@ -38,20 +38,8 @@ func (t *Tensor) Sum() float32 {
 }
 
 // MaxAbs returns the largest absolute element value, or 0 for an empty
-// tensor.
-func (t *Tensor) MaxAbs() float32 {
-	var m float32
-	for _, v := range t.data {
-		a := v
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
+// tensor; NaN elements are skipped.
+func (t *Tensor) MaxAbs() float32 { return MaxAbs(t.data) }
 
 // ArgMaxRow returns, for a 2-D tensor, the column index of the maximum
 // element in row r.
