@@ -97,14 +97,11 @@ func TestQModelMatchesFloatAllArchs(t *testing.T) {
 	}
 }
 
-// TestQModelFlatInput covers the 2-D (N, F) input path through the
-// fused Linear ops.
-func TestQModelFlatInput(t *testing.T) {
-	m := toyModel(31)
-	q := NewQuantizer(m)
-	qm := NewQModel(q)
-	x := tensor.New(6, 8)
-	tensor.NewRNG(3).FillUniform(x, -1, 1)
+// checkAgreesWithFloat holds the int8 engine's logits on x within the
+// documented tolerance of the fp32 model's.
+func checkAgreesWithFloat(t *testing.T, m *nn.Model, x *tensor.Tensor) {
+	t.Helper()
+	qm := NewQModel(NewQuantizer(m))
 	ref := m.Forward(x, false)
 	got := qm.Forward(x)
 	rd, gd := ref.Data(), got.Data()
@@ -118,6 +115,32 @@ func TestQModelFlatInput(t *testing.T) {
 			t.Fatalf("logit %d: int8 %v vs fp32 %v (tol %v)", i, gd[i], rd[i], tol)
 		}
 	}
+}
+
+// TestQModelFlatInput covers the 2-D (N, F) input path through the
+// fused Linear ops.
+func TestQModelFlatInput(t *testing.T) {
+	x := tensor.New(6, 8)
+	tensor.NewRNG(3).FillUniform(x, -1, 1)
+	checkAgreesWithFloat(t, toyModel(31), x)
+}
+
+// TestQModelSpatialLinear covers a Linear on a spatial activation: the
+// int8 engine packs the flatten order (c·h·w + s) straight from the
+// conv output's planes, which no registered architecture reaches at
+// CIFAR size.
+func TestQModelSpatialLinear(t *testing.T) {
+	rng := tensor.NewRNG(32)
+	net := nn.NewSequential(
+		nn.NewConv2D("conv", rng, 3, 4, 3, 1, 1, true),
+		nn.NewReLU(),
+		nn.NewFlatten(),
+		nn.NewLinear("fc", rng, 4*5*3, 6),
+	)
+	m := nn.NewModel("toy-spatial", net, 6, [3]int{3, 5, 3})
+	x := tensor.New(7, 3, 5, 3)
+	tensor.NewRNG(4).FillUniform(x, -1, 1)
+	checkAgreesWithFloat(t, m, x)
 }
 
 // TestQModelFlipBitInvalidation exercises the incremental path: a

@@ -1,9 +1,11 @@
 package tensor
 
+import "math"
+
 // Right-hand sides of the int8 GEMM. GemmI8PackedA never sees B as a
 // matrix: it asks a PackerI8 for one kc×nc slab at a time, in the NR-
 // column int16 k-pair panel layout its micro-kernel reads. A plain
-// row-major matrix (matrixI8) packs as before; a convolution (ConvI8)
+// row-major matrix (matrixI8) packs row pairs; a convolution (ConvI8)
 // packs its panels straight from the padded int8 activation planes,
 // so the im2col matrix is never built (DESIGN §13).
 
@@ -55,10 +57,14 @@ type convI8 struct {
 // lowered matrix has c·kh·kw rows and n·oh·ow columns with
 // oh = (ph − kh)/stride + 1 and ow = (pw − kw)/stride + 1. A 1×1
 // stride-1 kernel lowers to the planes themselves, a plain matrix.
+// Row offsets are int32, so the planes may hold at most 2³¹ − 1 codes.
 func ConvI8(x []int8, c, n, ph, pw, kh, kw, stride int) PackerI8 {
 	plane := ph * pw
 	if kh == 1 && kw == 1 && stride == 1 {
 		return matrixI8{b: x[:c*n*plane], n: n * plane}
+	}
+	if c*n*plane > math.MaxInt32 {
+		panic("tensor: ConvI8 planes exceed int32 offsets")
 	}
 	s := &convI8{
 		x:      x[:c*n*plane],

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// im2colI8 is the int8 engine's former explicit lowering, kept as the
-// reference the implicit ConvI8 packer is checked against. It lowers
+// im2colI8 is the explicit int8 lowering, the reference the implicit
+// ConvI8 packer is checked against. It lowers
 // one quantized image into columns of a shared batched column matrix:
 // channel ch lives at img[ch*chanStride : ch*chanStride+h*w]
 // (chanStride = n*h*w with img at sample i's plane inside a CNHW
