@@ -115,8 +115,11 @@ check-bench:
 ## data-path kernel identity tests, the int8 lowering grid and the int8
 ## golden logits built with GOAMD64=v3, where the compiler may use FMA:
 ## they fail if it ever fuses a portable twin's multiply and add
-## (DESIGN §12, §13).
+## (DESIGN §12, §13). Last, it reruns the serving batch-policy tests
+## (forced coalescing, drain on Close, panic isolation) ten times under
+## the race detector, so a timing-dependent regression shows (DESIGN §14).
 V3_TESTS = Elementwise|BNAffine|BNSums|BatchNormMatches|Int8Path|QuantizePlanes|ConvI8|GoldenQuantForward
+SERVE_POLICY_TESTS = TestServeCoalescedBatchExact|TestServeCloseDrains|TestServeEnginePanic
 
 vet: check-bench test-race
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -128,3 +131,4 @@ vet: check-bench test-race
 		echo "GOAMD64=v3 $(GO) test -run '$(V3_TESTS)' ./internal/tensor ./internal/nn ./internal/pretrain"; \
 		GOAMD64=v3 $(GO) test -count=1 -run '$(V3_TESTS)' ./internal/tensor ./internal/nn ./internal/pretrain; \
 	else echo "vet: no AVX2 CPU, skipping the GOAMD64=v3 kernel identity tests"; fi
+	$(GO) test -race -count=10 -run '$(SERVE_POLICY_TESTS)' ./internal/serve

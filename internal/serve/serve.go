@@ -1,16 +1,18 @@
 // Package serve is the victim side of the online attack: a
 // high-throughput batched inference service over the int8 deployment
 // engine that keeps answering queries while Rowhammer flips its weights
-// in memory. It provides dynamic micro-batching (size/deadline batch
-// coalescing over a bounded request queue), admission control (FIFO
-// slot semaphore with load shedding), per-request latency accounting,
-// and a hot-swap seam through which the attack publishes corrupted
-// weights without ever letting a reader observe a torn state.
+// in memory. It provides work-conserving micro-batching (a free
+// executor takes whatever is queued, up to a size cap, and never waits
+// for more), admission control (FIFO slot semaphore with load
+// shedding), per-request latency accounting, and a hot-swap seam
+// through which the attack publishes corrupted weights without ever
+// letting a reader observe a torn state.
 package serve
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -50,17 +52,18 @@ var ErrOverloaded = errors.New("serve: overloaded, request shed")
 // ErrClosed is returned for submissions after Close.
 var ErrClosed = errors.New("serve: server closed")
 
+// ErrEnginePanic is wrapped into the Result of every request whose
+// batch panicked in Engine.Forward; the server keeps serving.
+var ErrEnginePanic = errors.New("serve: engine panicked")
+
 // Config parameterizes the server.
 type Config struct {
 	// Shape is the per-sample input shape, e.g. [3, 32, 32]. Required.
 	Shape []int
-	// BatchMax is the micro-batch size cap (default 32). The batcher
-	// ships a batch as soon as it is full or BatchDeadline has elapsed
-	// since its first request, whichever comes first.
+	// BatchMax is the micro-batch size cap (default 32). A free worker
+	// runs the oldest queued request together with every request queued
+	// behind it, up to BatchMax; it never waits for more to arrive.
 	BatchMax int
-	// BatchDeadline bounds how long the first request of a batch waits
-	// for company (default 200µs).
-	BatchDeadline time.Duration
 	// QueueDepth is the admission cap: the number of requests that may
 	// be queued or in flight at once (default 4×BatchMax). TrySubmit
 	// sheds beyond it; Submit blocks FIFO.
@@ -75,9 +78,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.BatchMax <= 0 {
 		c.BatchMax = 32
-	}
-	if c.BatchDeadline <= 0 {
-		c.BatchDeadline = 200 * time.Microsecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.BatchMax
@@ -100,7 +100,8 @@ type Result struct {
 	// quantization makes a sample's int8 logits a function of its
 	// batchmates — identical to a direct Forward of the same batch).
 	Logits []float32
-	// Err is ErrOverloaded/ErrClosed when the request was not served.
+	// Err is ErrOverloaded/ErrClosed when the request was not served,
+	// and wraps ErrEnginePanic when its batch's forward panicked.
 	Err error
 }
 
@@ -122,8 +123,9 @@ type Server struct {
 	// runtime FIFO order, like campaign's arena byte semaphore.
 	slots chan struct{}
 
-	queue    chan *request
-	dispatch chan []*request
+	// queue holds admitted requests in arrival order; the workers pull
+	// their batches from it directly.
+	queue chan *request
 
 	// closeMu guards the queue against send-after-close; submissions
 	// hold it shared, Close exclusively.
@@ -159,7 +161,6 @@ func NewServer(eng Engine, cfg Config) (*Server, error) {
 		sampleLen: sampleLen,
 		slots:     make(chan struct{}, cfg.QueueDepth),
 		queue:     make(chan *request, cfg.QueueDepth),
-		dispatch:  make(chan []*request, cfg.Workers),
 	}
 	ce, ok := eng.(ConcurrentEngine)
 	if !ok || !ce.ConcurrentSafe() {
@@ -168,8 +169,7 @@ func NewServer(eng Engine, cfg Config) (*Server, error) {
 		cfg.Logf("serve: engine is not concurrency-safe (float-fallback layers); degrading to serialized executor")
 	}
 	s.stats.start = time.Now()
-	s.wg.Add(1 + s.cfg.Workers)
-	go s.batcher()
+	s.wg.Add(s.cfg.Workers)
 	for i := 0; i < s.cfg.Workers; i++ {
 		go s.worker()
 	}
@@ -220,63 +220,36 @@ func (s *Server) enqueue(img []float32) Result {
 	return <-r.out
 }
 
-// batcher coalesces queued requests into micro-batches: a batch ships
-// when it reaches BatchMax or when BatchDeadline has elapsed since its
-// first request arrived.
-func (s *Server) batcher() {
-	defer s.wg.Done()
-	defer close(s.dispatch)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		first, ok := <-s.queue
-		if !ok {
-			return
-		}
-		batch := append(make([]*request, 0, s.cfg.BatchMax), first)
-		draining := false
-		if s.cfg.BatchMax > 1 {
-			timer.Reset(s.cfg.BatchDeadline)
-		collect:
-			for len(batch) < s.cfg.BatchMax {
-				select {
-				case r, ok := <-s.queue:
-					if !ok {
-						draining = true
-						break collect
-					}
-					batch = append(batch, r)
-				case <-timer.C:
-					break collect
-				}
-			}
-			if !draining && !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		}
-		s.dispatch <- batch
-		if draining {
-			return
-		}
-	}
-}
-
+// worker is one executor. It blocks for the oldest queued request,
+// yields once so that submitters already runnable can enqueue, then
+// takes every request queued behind it without waiting, up to BatchMax.
+// Under load requests pile up while the workers are busy, so batches
+// grow with no timer. After Close it serves what is buffered and exits.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	for batch := range s.dispatch {
+	batch := make([]*request, 0, s.cfg.BatchMax)
+	for first := range s.queue {
+		batch = append(batch[:0], first)
+		runtime.Gosched()
+	fill:
+		for len(batch) < s.cfg.BatchMax {
+			select {
+			case r, ok := <-s.queue:
+				if !ok {
+					break fill
+				}
+				batch = append(batch, r)
+			default:
+				break fill
+			}
+		}
 		s.runBatch(batch)
 	}
 }
 
 // runBatch coalesces the requests into one tensor, runs the engine
-// once, and fans the rows back out. In degraded mode the forward holds
-// serialMu; on the concurrent path it takes no lock at all — the epoch
-// engine's reader pin is two atomic ops.
+// once, and fans the rows back out. A panicking forward fails only this
+// batch: each of its requests gets an ErrEnginePanic result.
 func (s *Server) runBatch(batch []*request) {
 	n := len(batch)
 	shape := append([]int{n}, s.cfg.Shape...)
@@ -285,25 +258,38 @@ func (s *Server) runBatch(batch []*request) {
 	for i, r := range batch {
 		copy(d[i*s.sampleLen:(i+1)*s.sampleLen], r.img)
 	}
-	var logits *tensor.Tensor
-	if s.degraded {
-		s.serialMu.Lock()
-		logits = s.eng.Forward(x)
-		s.serialMu.Unlock()
-	} else {
-		logits = s.eng.Forward(x)
-	}
-	ld := logits.Data()
-	k := logits.Dim(1)
+	logits, err := s.forward(x)
 	done := time.Now()
 	s.stats.recordBatch()
 	for i, r := range batch {
-		row := make([]float32, k)
-		copy(row, ld[i*k:(i+1)*k])
-		s.stats.record(done.Sub(r.enq))
-		r.out <- Result{Pred: logits.ArgMaxRow(i), Logits: row}
+		res := Result{Err: err}
+		if err == nil {
+			k := logits.Dim(1)
+			res.Pred = logits.ArgMaxRow(i)
+			res.Logits = make([]float32, k)
+			copy(res.Logits, logits.Data()[i*k:(i+1)*k])
+			s.stats.record(done.Sub(r.enq))
+		}
+		r.out <- res
 		<-s.slots
 	}
+}
+
+// forward runs the engine, recovering a panic into an error. In
+// degraded mode it holds serialMu; on the concurrent path it takes no
+// lock at all — the epoch engine's reader pin is two atomic ops.
+func (s *Server) forward(x *tensor.Tensor) (logits *tensor.Tensor, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%w: %v", ErrEnginePanic, p)
+			s.cfg.Logf("serve: %v; failing a batch of %d", err, x.Dim(0))
+		}
+	}()
+	if s.degraded {
+		s.serialMu.Lock()
+		defer s.serialMu.Unlock()
+	}
+	return s.eng.Forward(x), nil
 }
 
 // Swap runs fn — a weight mutation — so that no in-flight or future

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -60,16 +62,48 @@ func TestServeMatchesDirectForward(t *testing.T) {
 	}
 }
 
+// gatedEngine wraps an engine so that its first Forward blocks until
+// release is closed; every Forward first adds its rows to entered.
+type gatedEngine struct {
+	Engine
+	entered atomic.Int64
+	once    sync.Once
+	release chan struct{}
+}
+
+func (e *gatedEngine) Forward(x *tensor.Tensor) *tensor.Tensor {
+	e.entered.Add(int64(x.Dim(0)))
+	e.once.Do(func() { <-e.release })
+	return e.Engine.Forward(x)
+}
+func (e *gatedEngine) ConcurrentSafe() bool { return true }
+
+// waitHeld polls until each of n submitted requests is either queued or
+// inside the engine.
+func waitHeld(t *testing.T, srv *Server, entered *atomic.Int64, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(srv.queue)+int(entered.Load()) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d requests held", len(srv.queue)+int(entered.Load()), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestServeCoalescedBatchExact: many concurrent submissions of the SAME
-// sample coalesce into micro-batches of various sizes; because the
-// rows are identical, every batch composition yields the same logits
-// per row, which must equal the direct single-sample forward. This
-// covers the batch-assembly path (tensor packing, row fan-out) under
-// real coalescing.
+// sample coalesce into micro-batches; because the rows are identical,
+// every batch composition yields the same logits per row, which must
+// equal the direct single-sample forward. The first forward is held
+// until all requests are queued, so the workers must then coalesce
+// them: this covers the batch-assembly path (tensor packing, row
+// fan-out) with no dependence on timing.
 func TestServeCoalescedBatchExact(t *testing.T) {
 	_, qm, ds := engineFixture(t, "resnet20", 5)
 	c, h, w := ds.ImageSize()
-	srv, err := NewServer(qm, Config{Shape: []int{c, h, w}, BatchMax: 8, BatchDeadline: 2 * time.Millisecond, Workers: 2})
+	const requests = 48
+	eng := &gatedEngine{Engine: qm, release: make(chan struct{})}
+	srv, err := NewServer(eng, Config{Shape: []int{c, h, w}, BatchMax: 8, QueueDepth: requests, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +114,6 @@ func TestServeCoalescedBatchExact(t *testing.T) {
 	copy(x.Data(), img)
 	want := append([]float32(nil), qm.Forward(x).Data()...)
 
-	const requests = 48
 	var wg sync.WaitGroup
 	errs := make(chan string, requests)
 	for i := 0; i < requests; i++ {
@@ -100,6 +133,8 @@ func TestServeCoalescedBatchExact(t *testing.T) {
 			}
 		}()
 	}
+	waitHeld(t, srv, &eng.entered, requests)
+	close(eng.release)
 	wg.Wait()
 	close(errs)
 	if msg, ok := <-errs; ok {
@@ -117,10 +152,12 @@ func TestServeCoalescedBatchExact(t *testing.T) {
 // slowEngine is a trivially concurrent stub whose forward blocks until
 // released — it backs the shedding test.
 type slowEngine struct {
-	gate chan struct{}
+	gate    chan struct{}
+	entered atomic.Int64
 }
 
 func (e *slowEngine) Forward(x *tensor.Tensor) *tensor.Tensor {
+	e.entered.Add(int64(x.Dim(0)))
 	<-e.gate
 	return tensor.New(x.Dim(0), 2)
 }
@@ -162,6 +199,104 @@ func TestServeShedding(t *testing.T) {
 		}
 	}
 	srv.Close()
+}
+
+// TestServeCloseDrains: Close while the engine is wedged and requests
+// are queued must serve every one of them, none dropped, and refuse
+// later submissions.
+func TestServeCloseDrains(t *testing.T) {
+	eng := &slowEngine{gate: make(chan struct{})}
+	const requests = 8
+	srv, err := NewServer(eng, Config{Shape: []int{2}, BatchMax: 3, QueueDepth: requests, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make(chan Result, requests)
+	for i := 0; i < requests; i++ {
+		go func() { results <- srv.Submit([]float32{1, 2}) }()
+	}
+	waitHeld(t, srv, &eng.entered, requests)
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	for {
+		srv.closeMu.RLock()
+		c := srv.closed
+		srv.closeMu.RUnlock()
+		if c {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(eng.gate)
+	<-closed
+	for i := 0; i < requests; i++ {
+		if r := <-results; r.Err != nil {
+			t.Fatalf("queued request %d: %v", i, r.Err)
+		}
+	}
+	if got := srv.Stats().Snapshot().Served; got != requests {
+		t.Fatalf("served %d, want %d", got, requests)
+	}
+	if r := srv.Submit([]float32{1, 2}); r.Err != ErrClosed {
+		t.Fatalf("Submit after Close: err = %v, want ErrClosed", r.Err)
+	}
+}
+
+// panicEngine panics on its first Forward and serves afterwards.
+type panicEngine struct {
+	calls      atomic.Int64
+	concurrent bool
+}
+
+func (e *panicEngine) Forward(x *tensor.Tensor) *tensor.Tensor {
+	if e.calls.Add(1) == 1 {
+		panic("wedged panel")
+	}
+	return tensor.New(x.Dim(0), 2)
+}
+func (e *panicEngine) ConcurrentSafe() bool { return e.concurrent }
+
+// TestServeEnginePanic: a panicking forward fails only its own batch —
+// every request in it gets an ErrEnginePanic result and gives back its
+// slot — and the server keeps serving, on the concurrent path and in
+// degraded mode, where the panic must not leave the executor lock held.
+func TestServeEnginePanic(t *testing.T) {
+	for _, concurrent := range []bool{true, false} {
+		t.Run(fmt.Sprintf("concurrent=%v", concurrent), func(t *testing.T) {
+			eng := &panicEngine{concurrent: concurrent}
+			var logged atomic.Int64
+			srv, err := NewServer(eng, Config{Shape: []int{2}, Workers: 2,
+				Logf: func(f string, a ...any) {
+					if strings.Contains(fmt.Sprintf(f, a...), "panicked") {
+						logged.Add(1)
+					}
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			if r := srv.Submit([]float32{1, 2}); !errors.Is(r.Err, ErrEnginePanic) {
+				t.Fatalf("panicked batch: err = %v, want ErrEnginePanic", r.Err)
+			}
+			if n := len(srv.slots); n != 0 {
+				t.Fatalf("%d slots still held after the panicked batch", n)
+			}
+			for i := 0; i < 4; i++ {
+				if r := srv.Submit([]float32{1, 2}); r.Err != nil {
+					t.Fatalf("request %d after the panic: %v", i, r.Err)
+				}
+			}
+			if err := srv.Swap(func() {}); concurrent == (err == nil) {
+				t.Fatalf("Swap after the panic: %v", err)
+			}
+			if logged.Load() == 0 {
+				t.Fatal("the panic was not logged")
+			}
+		})
+	}
 }
 
 // noSwapEngine is concurrent but has no hot-swap path.
@@ -272,6 +407,17 @@ func TestSimDeterministic(t *testing.T) {
 	}
 	if s.P99Ns <= a.P99Ns {
 		t.Fatalf("50ms stall did not move p99: %d → %d", a.P99Ns, s.P99Ns)
+	}
+}
+
+// TestSimLoneArrival: a request that arrives at an idle executor is
+// served at once, so its latency is one batch-1 cost and nothing more.
+func TestSimLoneArrival(t *testing.T) {
+	cfg := SimConfig{Seed: 3, Requests: 1, CostBaseNs: 250_000, CostSampleNs: 30_000}
+	r := Simulate(cfg)
+	want := cfg.CostBaseNs + cfg.CostSampleNs
+	if r.Served != 1 || r.Batches != 1 || r.P50Ns != want || r.P99Ns != want {
+		t.Fatalf("lone arrival: %+v, want 1 served in 1 batch at %d ns", r, want)
 	}
 }
 

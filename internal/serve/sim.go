@@ -11,9 +11,11 @@ import (
 // scheduler, the core count and the attack's wall-clock interleaving.
 // So the report's QPS/latency trajectory comes from a discrete-event
 // simulation in virtual time: a canonical single-executor server with
-// the same batching policy (size/deadline coalescing, bounded queue
-// with shedding), driven by a seeded arrival stream and a fixed batch
-// cost model. Hot-swap publishes show up as an initial executor stall.
+// the same batching policy (work-conserving: when the executor frees,
+// its batch is whatever waits, capped at BatchMax; a bounded queue
+// sheds the excess), driven by a seeded arrival stream and a fixed
+// batch cost model. Hot-swap publishes show up as an initial executor
+// stall.
 // Real wall-clock numbers are still collected (LiveStats) — they feed
 // the benchmarks, never the report.
 
@@ -31,10 +33,9 @@ type SimConfig struct {
 	// 300µs + 40µs/sample — micro-batching amortizes the base).
 	CostBaseNs   int64
 	CostSampleNs int64
-	// BatchMax / DeadlineNs / QueueDepth mirror the server's batching
-	// policy (defaults 32 / 200µs / 128).
+	// BatchMax / QueueDepth mirror the server's batching policy
+	// (defaults 32 / 128).
 	BatchMax   int
-	DeadlineNs int64
 	QueueDepth int
 	// StallNs keeps the executor busy from virtual time zero — the
 	// repack pause injected by hot-swap publishes in this window.
@@ -56,9 +57,6 @@ func (c SimConfig) withDefaults() SimConfig {
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 32
-	}
-	if c.DeadlineNs <= 0 {
-		c.DeadlineNs = 200_000
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 128
@@ -122,40 +120,11 @@ func Simulate(cfg SimConfig) SimResult {
 			admit(arrivals[next])
 			continue
 		}
-		// The batch window opens when the executor is free and the
-		// oldest request has arrived.
-		t0 := waiting[0]
-		if free > t0 {
-			t0 = free
-		}
-		admit(t0)
-		n := len(waiting)
-		if n > cfg.BatchMax {
-			n = cfg.BatchMax
-		}
-		start := t0
-		if n < cfg.BatchMax {
-			// Not full: hold the batch open until the deadline, admitting
-			// stragglers as they arrive.
-			deadline := t0 + cfg.DeadlineNs
-			for n < cfg.BatchMax && next < len(arrivals) && arrivals[next] <= deadline {
-				if len(waiting) >= cfg.QueueDepth {
-					shed++
-					next++
-					continue
-				}
-				waiting = append(waiting, arrivals[next])
-				next++
-				n++
-			}
-			if n == cfg.BatchMax {
-				if last := waiting[n-1]; last > start {
-					start = last
-				}
-			} else {
-				start = deadline
-			}
-		}
+		// A batch starts when the executor is free and the oldest
+		// request has arrived, and takes whatever waits at that moment.
+		start := max(waiting[0], free)
+		admit(start)
+		n := min(len(waiting), cfg.BatchMax)
 		end := start + cfg.CostBaseNs + int64(n)*cfg.CostSampleNs
 		for _, a := range waiting[:n] {
 			lats = append(lats, end-a)
