@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test-short test-race run-campaignd bench-kernels bench-eval bench-train bench-online bench-module bench-campaign bench-offline bench-serve check-bench vet
+.PHONY: build test-short test-race run-campaignd bench-kernels bench-eval bench-train bench-online bench-module bench-campaign bench-offline bench-serve check-bench vet loc
 
 build:
 	$(GO) build ./...
@@ -16,12 +16,13 @@ test-short:
 ## incl. the epoch hot-swap flip-storm test and the suffix scorer's
 ## concurrent candidate fan-out in internal/quant, parallel metric
 ## evaluation, the batched serving engine in internal/serve, the
-## data-parallel trainer incl. the RunOffline short-mode determinism and
-## suffix-refinement tests in internal/core, the parallel templating
-## engine: profile, sidechan, memsys, the fault-injection pass
-## counters in internal/dram, and the campaign engine plus the campaignd
-## daemon core — cancellation unwind, single-flight abort/re-election,
-## and the kill/resume checkpoint test — in internal/campaign{,/server}).
+## trainer's concurrent two-term pair incl. the RunOffline short-mode
+## determinism and suffix-refinement tests in internal/core, the
+## parallel templating engine: profile, sidechan, memsys, the
+## fault-injection pass counters in internal/dram, and the campaign
+## engine plus the campaignd daemon core — cancellation unwind,
+## single-flight abort/re-election, and the kill/resume checkpoint
+## test — in internal/campaign{,/server}).
 test-race:
 	$(GO) test -race -short ./internal/tensor ./internal/nn ./internal/quant ./internal/metrics ./internal/serve ./internal/core ./internal/profile ./internal/sidechan ./internal/memsys ./internal/dram ./internal/campaign ./internal/campaign/server
 
@@ -44,12 +45,14 @@ bench-eval:
 		./internal/metrics/ ./internal/quant/ | $(GO) run ./cmd/benchjson -o BENCH_eval.json
 
 ## bench-train: training-engine benchmarks — batch-32 ResNet-20
-## forward+backward (direct vs trainer at 1 and 4 workers, with
-## allocation counts) and the full RunOffline reference-attack
-## wall-clock — serialized to BENCH_train.json. Add
+## forward+backward on the direct path and one CFT+BR iteration's two
+## gradient terms through the trainer (as a pair, as two sequential
+## calls, and as a pair on the trained victim), with allocation counts —
+## serialized to BENCH_train.json. The full RunOffline wall-clock lives
+## in BENCH_offline.json (make bench-offline). Add
 ## `-cpuprofile cpu.out` to the benchjson invocation for a profile.
 bench-train:
-	$(GO) run ./cmd/benchjson -bench 'TrainStep|OfflineAttack' -pkg ./internal/core -o BENCH_train.json
+	$(GO) run ./cmd/benchjson -bench 'TrainStep' -pkg ./internal/core -o BENCH_train.json
 
 ## bench-online: online templating-engine benchmarks — the full
 ## ExecuteOnline buffer-size sweep (32768 → 262144 pages at 1/2/4
@@ -83,7 +86,8 @@ bench-campaign:
 
 ## bench-offline: offline-attack refinement benchmarks — one constraint
 ## enforcement step with full-forward scoring vs the incremental suffix
-## scorer (1 and 4 workers) plus the end-to-end RunOffline wall-clock —
+## scorer (tensor.MaxWorkers 1 and 4) plus the end-to-end RunOffline
+## wall-clock (tensor.MaxWorkers 1 and 4) —
 ## merged with the committed pre-scorer baseline
 ## (BENCH_offline_baseline.json, *PrePR entries) into BENCH_offline.json.
 bench-offline:
@@ -91,14 +95,20 @@ bench-offline:
 		-pkg ./internal/core -benchtime 3x \
 		-merge BENCH_offline_baseline.json -o BENCH_offline.json
 
-## bench-serve: serving-engine benchmarks — batched micro-batching QPS at
-## 1/2/4 executor workers and the flip-storm vs quiescent hot-swap
-## degradation — merged with the committed unbatched single-request
-## baseline (BENCH_serve_baseline.json) into BENCH_serve.json.
+## bench-serve: serving-engine benchmarks — the unbatched single-request
+## loop, batched micro-batching QPS at 1/2/4 executor workers and the
+## flip-storm vs quiescent hot-swap degradation — merged with the
+## committed pre-PR unbatched baseline (BENCH_serve_baseline.json,
+## *PrePR entry) into BENCH_serve.json.
 bench-serve:
-	$(GO) run ./cmd/benchjson -bench 'ServeQPS/batched|ServeFlipStorm' \
+	$(GO) run ./cmd/benchjson -bench 'ServeQPS/serial|ServeQPS/batched|ServeFlipStorm' \
 		-pkg ./internal/serve -benchtime 2s \
 		-merge BENCH_serve_baseline.json -o BENCH_serve.json
+
+## loc: the non-test Go line count (perfbench, a separate module,
+## excluded) — the measure ROADMAP's line targets use.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' | xargs cat | wc -l
 
 ## check-bench: validate every committed benchjson report against the
 ## schema (strict fields, non-empty, sane values) and its *_baseline.json

@@ -9,7 +9,7 @@
 //     -pkg packages, parse as it streams, and optionally capture a CPU
 //     profile.
 //
-//     go run ./cmd/benchjson -bench 'TrainStep|OfflineAttack' -pkg ./internal/core -o BENCH_train.json
+//     go run ./cmd/benchjson -bench TrainStep -pkg ./internal/core -o BENCH_train.json
 //     go run ./cmd/benchjson -bench TrainStep -pkg ./internal/core -cpuprofile cpu.out
 //
 //   - Check mode (-check): validate committed reports against the

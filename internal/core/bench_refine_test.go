@@ -125,9 +125,9 @@ func BenchmarkRefinement(b *testing.B) {
 		w := w
 		b.Run("suffix/workers"+string(rune('0'+w)), func(b *testing.B) {
 			f := newRefineFixture(b)
+			defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(w))
 			scorer := quant.NewScorer(f.qm, f.batch.clean, f.batch.trig,
 				f.batch.labels, f.targets, f.cfg.Alpha)
-			scorer.SetWorkers(w)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()

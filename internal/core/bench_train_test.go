@@ -13,17 +13,16 @@ import (
 
 // BenchmarkTrainStep measures one batch-32 ResNet-20 forward+backward —
 // the unit of work Algorithm 1 repeats hundreds of times — on the
-// direct single-graph path and on the data-parallel trainer at one and
-// four workers. Allocation counts are the headline: the trainer path
-// reuses every buffer after warmup. The trainer_pair and
-// trainer_sequential entries time one full CFT+BR iteration's gradient
-// work (a clean and a triggered term, one shard, as RunOffline runs
-// them) as one ForwardBackwardPair and as two sequential
-// ForwardBackward calls. Those entries feed Gaussian noise to an
-// untrained net, so every ReLU sign is a coin flip; trainer_pair_victim
-// times the same pair on what RunOffline really sees: the trained
-// reference victim (rowhammer.TrainVictim's defaults at seed 1) on its
-// 32-image attack batch and that batch with the trigger stamped.
+// direct single-graph path. The trainer_pair and trainer_sequential
+// entries time one full CFT+BR iteration's gradient work (a clean and a
+// triggered term, as RunOffline runs them) as one ForwardBackwardPair
+// and as two sequential ForwardBackward calls; allocation counts show
+// the trainer reuses every buffer after warmup. Those entries feed
+// Gaussian noise to an untrained net, so every ReLU sign is a coin
+// flip; trainer_pair_victim times the same pair on what RunOffline
+// really sees: the trained reference victim (rowhammer.TrainVictim's
+// defaults at seed 1) on its 32-image attack batch and that batch with
+// the trigger stamped.
 func BenchmarkTrainStep(b *testing.B) {
 	x := tensor.New(32, 3, 32, 32)
 	tensor.NewRNG(1).FillNormal(x, 0, 1)
@@ -57,24 +56,6 @@ func BenchmarkTrainStep(b *testing.B) {
 			m.Backward(grad)
 		}
 	})
-
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("trainer_workers%d", workers), func(b *testing.B) {
-			m := buildVictim()
-			tr := nn.NewTrainer(m, 4)
-			tr.SetWorkers(workers)
-			for i := 0; i < 2; i++ {
-				m.ZeroGrad()
-				tr.ForwardBackward(x, labels, 1)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.ZeroGrad()
-				tr.ForwardBackward(x, labels, 1)
-			}
-		})
-	}
 
 	xTrig := x.Clone()
 	data.NewSquareTrigger(3, 32, 32, 10).Apply(xTrig)
@@ -142,9 +123,9 @@ func BenchmarkTrainStep(b *testing.B) {
 
 // BenchmarkOfflineAttack is the full RunOffline wall-clock at the
 // reference settings (w0.25 ResNet-20, 100 iterations, 64 attack
-// images) — the number EXPERIMENTS.md quotes. One op is one complete
-// attack, so the benchmark self-terminates after a single iteration at
-// the default -benchtime.
+// images) — the number EXPERIMENTS.md quotes — at tensor.MaxWorkers
+// bounds 1 and 4. One op is one complete attack, so the benchmark
+// self-terminates after a single iteration at the default -benchtime.
 func BenchmarkOfflineAttack(b *testing.B) {
 	dcfg := data.SynthCIFAR(0, 21)
 	dcfg.Samples = 64
@@ -152,10 +133,9 @@ func BenchmarkOfflineAttack(b *testing.B) {
 
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("w025_workers%d", workers), func(b *testing.B) {
+			defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(workers))
 			cfg := DefaultConfig(5, 2)
 			cfg.Iterations = 100
-			cfg.TrainShards = 4
-			cfg.TrainWorkers = workers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -75,21 +75,6 @@ type Config struct {
 	// forwards instead of the suffix scorer.
 	float32Eval       bool
 	fullForwardRefine bool
-	// ScoreWorkers bounds how many candidate flips the suffix scorer
-	// evaluates concurrently (0 uses the kernel parallelism bound).
-	// Scheduling only: the refinement reduces candidate losses in fixed
-	// candidate order, so any worker count produces byte-identical
-	// attack output.
-	ScoreWorkers int
-	// TrainShards fixes the data-parallel trainer's shard count for the
-	// gradient passes (0 selects nn.DefaultTrainShards). The shard count
-	// — not the worker count — determines the floating-point summation
-	// geometry, so results are a function of this value alone.
-	TrainShards int
-	// TrainWorkers bounds how many shards run concurrently (0 uses the
-	// kernel parallelism bound). Scheduling only: any worker count
-	// produces bit-identical results for a fixed TrainShards.
-	TrainWorkers int
 }
 
 // DefaultConfig returns the paper's settings for a CIFAR-scale model.
@@ -277,20 +262,15 @@ func RunOffline(model *nn.Model, attackSet *data.Dataset, cfg Config) (*Result, 
 	if qm != nil && !cfg.fullForwardRefine {
 		scorer = quant.NewScorer(qm, refineBatch.clean, refineBatch.trig,
 			refineBatch.labels, refineTargets, cfg.Alpha)
-		scorer.SetWorkers(cfg.ScoreWorkers)
 	}
 
 	result := &Result{Quantizer: q, OrigCodes: orig, Trigger: trigger}
 
-	// The gradient hot path runs on the data-parallel trainer: the
-	// batch is sharded across model replicas, gradients tree-reduce
-	// into the master in fixed order, and the trainer resyncs replica
-	// weights each step (the masked sign-SGD update and Bit Reduction
-	// mutate them between steps).
-	trainer := nn.NewTrainer(model, cfg.TrainShards)
-	if cfg.TrainWorkers > 0 {
-		trainer.SetWorkers(cfg.TrainWorkers)
-	}
+	// The gradient hot path runs on the trainer: gradients fold into the
+	// master, and the trainer resyncs its replicas' weights each step
+	// (the masked sign-SGD update and Bit Reduction mutate them between
+	// steps).
+	trainer := nn.NewTrainer(model, nn.DefaultTrainShards)
 	// Persistent triggered-image buffer, re-stamped per iteration.
 	trigImages := batch.Images.Clone()
 

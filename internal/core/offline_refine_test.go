@@ -1,10 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"rowhammer/internal/data"
 	"rowhammer/internal/models"
+	"rowhammer/internal/tensor"
 )
 
 // runOfflineRefine executes a short RunOffline with the given refinement
@@ -24,7 +26,6 @@ func runOfflineRefine(t *testing.T, mutate func(*Config)) *Result {
 	cfg.Iterations = 4
 	cfg.BitReduceEvery = 2
 	cfg.RefineBatch = 8
-	cfg.TrainShards = 4
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -61,30 +62,36 @@ func compareResults(t *testing.T, label string, base, out *Result) {
 // TestRefinementSuffixMatchesFullForward pins the suffix scorer's
 // end-to-end contract: the attack output with incremental suffix scoring
 // must be byte-identical to the fullForwardRefine reference path, at any
-// scorer worker count.
+// tensor.MaxWorkers bound. GOMAXPROCS is raised so the scorer's
+// candidate fan-out is genuinely concurrent even on a single-CPU
+// machine.
 func TestRefinementSuffixMatchesFullForward(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 4 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	}
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
 	ref := runOfflineRefine(t, func(c *Config) { c.fullForwardRefine = true })
 	if ref.NFlip == 0 {
 		t.Fatal("fixture applied no flips; the comparison would be vacuous")
 	}
 	for _, w := range []int{1, 2, 4} {
-		w := w
-		out := runOfflineRefine(t, func(c *Config) { c.ScoreWorkers = w })
+		tensor.SetMaxWorkers(w)
+		out := runOfflineRefine(t, nil)
 		compareResults(t, "suffix workers="+string(rune('0'+w)), ref, out)
 	}
 }
 
 // TestRefinementSuffixWithForbiddenMask repeats the reference/suffix
 // comparison with the RADAR-adaptive MSB mask, which routes every
-// candidate through BitReduceMasked and shifts the kept codes.
+// candidate through BitReduceMasked and shifts the kept codes; the
+// suffix run scores at two workers.
 func TestRefinementSuffixWithForbiddenMask(t *testing.T) {
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
 	ref := runOfflineRefine(t, func(c *Config) {
 		c.fullForwardRefine = true
 		c.ForbiddenBitMask = 0x80
 	})
-	out := runOfflineRefine(t, func(c *Config) {
-		c.ForbiddenBitMask = 0x80
-		c.ScoreWorkers = 2
-	})
+	tensor.SetMaxWorkers(2)
+	out := runOfflineRefine(t, func(c *Config) { c.ForbiddenBitMask = 0x80 })
 	compareResults(t, "masked suffix", ref, out)
 }

@@ -192,7 +192,6 @@ func benchEvalTAASR(b *testing.B, quantized bool) {
 	}
 	tr := data.NewSquareTrigger(3, 32, 32, 3)
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
-	defer nn.SetBatchWorkers(nn.SetBatchWorkers(1))
 	TestAccuracy(p, ds) // warm pools
 	b.ReportAllocs()
 	b.ResetTimer()

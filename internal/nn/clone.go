@@ -111,8 +111,8 @@ func (t *Tap) CloneLayer() Layer { return NewTap() }
 // Clone returns a structurally independent copy of the model: the same
 // architecture with parameter values copied, fresh gradient and scratch
 // buffers, and an identically ordered parameter list. It is how the
-// data-parallel trainer builds its shard replicas, and is also the safe
-// way to snapshot a model before destructive weight surgery.
+// trainer builds its replicas, and is also the safe way to snapshot a
+// model before destructive weight surgery.
 func (m *Model) Clone() *Model {
 	return NewModel(m.Arch, CloneLayerOf(m.Root), m.Classes, m.InputShape)
 }

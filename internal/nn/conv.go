@@ -168,7 +168,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 	chunks := convBwdChunks(n)
 	if dc := c.directConv(h, w); dc != nil && dc.Fwd {
-		tensor.ParallelChunksIndexed(n, chunks, batchWorkerCount(), func(_, lo, hi int) {
+		tensor.ParallelChunksIndexed(n, chunks, tensor.MaxWorkers(), func(_, lo, hi int) {
 			xpad := tensor.GetF32Zeroed(dc.PadLen())
 			for i := lo; i < hi; i++ {
 				od := out.Data()[i*outLen : (i+1)*outLen]
@@ -189,7 +189,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		c.fwd = fs
 	}
-	tensor.ParallelChunksIndexed(n, chunks, batchWorkerCount(), func(idx, lo, hi int) {
+	tensor.ParallelChunksIndexed(n, chunks, tensor.MaxWorkers(), func(idx, lo, hi int) {
 		col := tensor.GetF32(colLen)
 		colT := bindMat(&fs.colT[idx], col, c.inC*c.kh*c.kw, oh*ow)
 		dst := bindMat(&fs.dst[idx], out.Data()[lo*outLen:(lo+1)*outLen], c.outC, oh*ow)
@@ -279,7 +279,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		biasSlots[i] = 0
 	}
 
-	tensor.ParallelChunksIndexed(n, chunks, batchWorkerCount(), func(idx, lo, hi int) {
+	tensor.ParallelChunksIndexed(n, chunks, tensor.MaxWorkers(), func(idx, lo, hi int) {
 		var col, xpad, gradColData, gpad []float32
 		var colT, gradCol *tensor.Tensor
 		if weightDirect {

@@ -23,9 +23,7 @@ func benchConvSetup(b *testing.B) (*Conv2D, *tensor.Tensor) {
 
 func BenchmarkConv2DForward(b *testing.B) {
 	conv, x := benchConvSetup(b)
-	prev := tensor.SetMaxWorkers(1)
-	prevB := SetBatchWorkers(1)
-	defer func() { tensor.SetMaxWorkers(prev); SetBatchWorkers(prevB) }()
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -35,9 +33,7 @@ func BenchmarkConv2DForward(b *testing.B) {
 
 func BenchmarkConv2DBackward(b *testing.B) {
 	conv, x := benchConvSetup(b)
-	prev := tensor.SetMaxWorkers(1)
-	prevB := SetBatchWorkers(1)
-	defer func() { tensor.SetMaxWorkers(prev); SetBatchWorkers(prevB) }()
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
 	out := conv.Forward(x, true)
 	grad := out.Clone()
 	b.ReportAllocs()
@@ -62,9 +58,7 @@ var convStageGeometries = []struct {
 // benchConvStages runs body for each stage geometry, on the direct
 // path and on the im2col + GEMM lowering it replaces.
 func benchConvStages(b *testing.B, body func(b *testing.B, conv *Conv2D, x *tensor.Tensor)) {
-	prev := tensor.SetMaxWorkers(1)
-	prevB := SetBatchWorkers(1)
-	defer func() { tensor.SetMaxWorkers(prev); SetBatchWorkers(prevB) }()
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
 	for _, g := range convStageGeometries {
 		for _, path := range []string{"direct", "im2col"} {
 			b.Run(g.name+"/"+path, func(b *testing.B) {

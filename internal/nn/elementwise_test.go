@@ -109,7 +109,7 @@ func TestElementwiseLayersMatchPortableKernels(t *testing.T) {
 	if !tensor.AcceleratedKernels() {
 		t.Log("AVX2 kernel set not selected: comparing the portable kernels with themselves")
 	}
-	defer SetBatchWorkers(SetBatchWorkers(1))
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
 	for _, shape := range elementwiseShapes {
 		for _, special := range []bool{false, true} {
 			rng := tensor.NewRNG(int64(shape[1]*100 + shape[2]))
@@ -119,11 +119,11 @@ func TestElementwiseLayersMatchPortableKernels(t *testing.T) {
 			laced(rng, grad, 0, 1, special)
 			for _, lc := range elementwiseLayers {
 				name := fmt.Sprintf("%s/%v/special=%v", lc.name, shape, special)
-				SetBatchWorkers(4)
+				tensor.SetMaxWorkers(4)
 				want := runElementwise(lc.build, lc.train, x, grad)
 				for _, portable := range []bool{false, true} {
 					for _, workers := range []int{1, 4} {
-						SetBatchWorkers(workers)
+						tensor.SetMaxWorkers(workers)
 						restore := func() {}
 						if portable {
 							restore = tensor.ForcePortableKernels()
@@ -229,9 +229,9 @@ func refBatchNorm(bn *BatchNorm2D, x, grad *tensor.Tensor, train bool) (out, gra
 // TestBatchNormMatchesScalarReference holds BatchNorm2D — channel
 // pairs reduced side by side, x̂ recomputed in Backward, every pass a
 // vector kernel — bit-identical to refBatchNorm in all three modes, on
-// both kernel sets and at one and four batch workers.
+// both kernel sets and at one and four workers.
 func TestBatchNormMatchesScalarReference(t *testing.T) {
-	defer SetBatchWorkers(SetBatchWorkers(1))
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
 	for _, shape := range elementwiseShapes {
 		for _, special := range []bool{false, true} {
 			rng := tensor.NewRNG(int64(shape[1]*100 + shape[2] + 1))
@@ -248,7 +248,7 @@ func TestBatchNormMatchesScalarReference(t *testing.T) {
 				}
 				for _, portable := range []bool{false, true} {
 					for _, workers := range []int{1, 4} {
-						SetBatchWorkers(workers)
+						tensor.SetMaxWorkers(workers)
 						restore := func() {}
 						if portable {
 							restore = tensor.ForcePortableKernels()

@@ -2,18 +2,20 @@ package nn
 
 import "rowhammer/internal/tensor"
 
-// replica is one shard worker of the data-parallel trainer: a
-// structural clone of the master model plus the per-shard scratch the
-// trainer reuses across steps.
+// replica is one loss term's working copy of the trainer's master: a
+// structural clone plus the scratch the trainer reuses across steps.
 type replica struct {
 	model  *Model
 	params []*Param
 	bns    []*BatchNorm2D
 
-	// grad is the per-shard dLoss/dLogits buffer (grow-only).
-	grad *tensor.Tensor
-	// lossSum is the shard's raw float64 negative-log-likelihood sum
-	// from the last step, combined by the trainer in fixed shard order.
+	// grad is the dLoss/dLogits buffer and inGrad the input gradient
+	// handed to the caller (both grow-only).
+	grad, inGrad *tensor.Tensor
+	// n, weight and lossSum describe the last step: the batch size, the
+	// loss weight and the raw float64 negative-log-likelihood sum.
+	n       int
+	weight  float32
 	lossSum float64
 }
 

@@ -1,27 +1,32 @@
 package nn
 
 import (
+	"runtime"
 	"testing"
 
 	"rowhammer/internal/tensor"
 )
 
-// trainerGradients runs one trainer step at the given worker count and
+// raiseProcs lifts GOMAXPROCS to at least 4 for the rest of the test,
+// so runs at several workers are genuinely concurrent even on a
+// single-CPU machine (tensor.MaxWorkers clamps to GOMAXPROCS).
+func raiseProcs(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 4 {
+		runtime.GOMAXPROCS(4)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// trainerGradients runs one trainer step at the given worker bound and
 // returns the flattened master gradients, the loss, and a copy of the
 // input gradient.
-func trainerGradients(t *testing.T, seed int64, shards, workers int) ([]float32, float32, []float32) {
+func trainerGradients(t *testing.T, seed int64, workers int) ([]float32, float32, []float32) {
 	t.Helper()
-	prev := tensor.SetMaxWorkers(workers)
-	prevBatch := SetBatchWorkers(workers)
-	defer func() {
-		tensor.SetMaxWorkers(prev)
-		SetBatchWorkers(prevBatch)
-	}()
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(workers))
 
 	m := cloneTestModel(seed)
 	FreezeBatchNorm(m.Root)
-	tr := NewTrainer(m, shards)
-	tr.SetWorkers(workers)
+	tr := NewTrainer(m, 0)
 
 	rng := tensor.NewRNG(seed + 100)
 	x := tensor.New(8, 2, 8, 8)
@@ -39,14 +44,15 @@ func trainerGradients(t *testing.T, seed int64, shards, workers int) ([]float32,
 }
 
 // TestTrainerGradientsBitIdenticalAcrossWorkers is the determinism
-// contract: with a fixed shard count, the worker count must not change
-// a single bit of the accumulated gradients, the loss, or the input
-// gradient. This is what makes attack results reproducible across
-// machines with different core counts.
+// contract: the tensor.MaxWorkers bound must not change a single bit of
+// the accumulated gradients, the loss, or the input gradient. This is
+// what makes attack results reproducible across machines with
+// different core counts.
 func TestTrainerGradientsBitIdenticalAcrossWorkers(t *testing.T) {
-	refGrads, refLoss, refIn := trainerGradients(t, 41, 4, 1)
+	raiseProcs(t)
+	refGrads, refLoss, refIn := trainerGradients(t, 41, 1)
 	for _, workers := range []int{2, 4} {
-		grads, loss, inGrad := trainerGradients(t, 41, 4, workers)
+		grads, loss, inGrad := trainerGradients(t, 41, workers)
 		if loss != refLoss {
 			t.Fatalf("workers=%d: loss %v != %v at 1 worker", workers, loss, refLoss)
 		}
@@ -64,13 +70,23 @@ func TestTrainerGradientsBitIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestTrainerSingleShardMatchesDirectPath pins the trainer's numerics
-// to the plain Model.Forward/CrossEntropy/Model.Backward path: with one
-// shard the whole batch runs on one replica in the same order, so every
-// result must agree bit for bit.
+// to the plain Model.Forward/CrossEntropy/Model.Backward path: the
+// whole batch runs on one replica in the same order, so every result
+// must agree bit for bit — with live batch norm also the running
+// statistics the step leaves in the master.
 func TestTrainerSingleShardMatchesDirectPath(t *testing.T) {
+	for _, frozen := range []bool{true, false} {
+		trainerMatchesDirectPath(t, frozen)
+	}
+}
+
+func trainerMatchesDirectPath(t *testing.T, frozen bool) {
+	t.Helper()
 	seed := int64(43)
 	m := cloneTestModel(seed)
-	FreezeBatchNorm(m.Root)
+	if frozen {
+		FreezeBatchNorm(m.Root)
+	}
 	rng := tensor.NewRNG(seed + 100)
 	x := tensor.New(6, 2, 8, 8)
 	rng.FillNormal(x, 0, 1)
@@ -82,25 +98,37 @@ func TestTrainerSingleShardMatchesDirectPath(t *testing.T) {
 	dLoss, grad := CrossEntropy(out, labels, 0.5)
 	dIn := direct.Backward(grad)
 
-	tr := NewTrainer(m, 1)
+	tr := NewTrainer(m, DefaultTrainShards)
 	m.ZeroGrad()
 	tLoss, tIn := tr.ForwardBackward(x, labels, 0.5)
 
 	if dLoss != tLoss {
-		t.Fatalf("loss %v (direct) != %v (trainer)", dLoss, tLoss)
+		t.Fatalf("frozen=%v: loss %v (direct) != %v (trainer)", frozen, dLoss, tLoss)
 	}
 	dp, tp := direct.Params(), m.Params()
 	for i := range dp {
 		dg, tg := dp[i].G.Data(), tp[i].G.Data()
 		for j := range dg {
 			if dg[j] != tg[j] {
-				t.Fatalf("param %q grad %d: direct %v != trainer %v", dp[i].Name, j, dg[j], tg[j])
+				t.Fatalf("frozen=%v: param %q grad %d: direct %v != trainer %v", frozen, dp[i].Name, j, dg[j], tg[j])
 			}
 		}
 	}
 	for i := range dIn.Data() {
 		if dIn.Data()[i] != tIn.Data()[i] {
-			t.Fatalf("input gradient %d differs bitwise", i)
+			t.Fatalf("frozen=%v: input gradient %d differs bitwise", frozen, i)
+		}
+	}
+	dbn, tbn := collectBatchNorms(direct.Root), collectBatchNorms(m.Root)
+	if len(dbn) == 0 {
+		t.Fatal("test model has no batch norm")
+	}
+	for i := range dbn {
+		if j := firstDiff(dbn[i].RunningMean, tbn[i].RunningMean); j >= 0 {
+			t.Fatalf("frozen=%v: batch norm %d running mean %d differs", frozen, i, j)
+		}
+		if j := firstDiff(dbn[i].RunningVar, tbn[i].RunningVar); j >= 0 {
+			t.Fatalf("frozen=%v: batch norm %d running variance %d differs", frozen, i, j)
 		}
 	}
 }
@@ -111,7 +139,7 @@ func TestTrainerSingleShardMatchesDirectPath(t *testing.T) {
 func TestTrainerAccumulatesLikeDirectBackward(t *testing.T) {
 	m := cloneTestModel(45)
 	FreezeBatchNorm(m.Root)
-	tr := NewTrainer(m, 1)
+	tr := NewTrainer(m, 0)
 	rng := tensor.NewRNG(46)
 	x := tensor.New(4, 2, 8, 8)
 	rng.FillNormal(x, 0, 1)
@@ -142,8 +170,8 @@ func TestTrainerAccumulatesLikeDirectBackward(t *testing.T) {
 	}
 }
 
-// TestTrainerTrainsUnfrozenModel sanity-checks the ghost-batch-norm
-// path: sharded training with live batch statistics still learns.
+// TestTrainerTrainsUnfrozenModel sanity-checks the live batch-norm
+// path: training with batch statistics still learns.
 func TestTrainerTrainsUnfrozenModel(t *testing.T) {
 	rng := tensor.NewRNG(47)
 	net := NewSequential(
@@ -154,7 +182,7 @@ func TestTrainerTrainsUnfrozenModel(t *testing.T) {
 		NewLinear("fc", rng, 4, 2),
 	)
 	m := NewModel("tiny", net, 2, [3]int{1, 6, 6})
-	tr := NewTrainer(m, 2)
+	tr := NewTrainer(m, 0)
 	opt := NewSGD(m.Params(), 0.1, 0.9, 0)
 
 	x := tensor.New(8, 1, 6, 6)
@@ -184,13 +212,24 @@ func TestTrainerTrainsUnfrozenModel(t *testing.T) {
 	}
 }
 
+// TestNewTrainerRejectsShards: a trainer runs one shard, so a larger
+// shard count must panic rather than be silently ignored.
+func TestNewTrainerRejectsShards(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewTrainer accepted 2 shards")
+		}
+	}()
+	NewTrainer(cloneTestModel(65), 2)
+}
+
 // TestTrainerResyncsAfterWeightMutation mutates master weights between
 // steps (as the masked sign-SGD update does) and checks the next step
 // sees them.
 func TestTrainerResyncsAfterWeightMutation(t *testing.T) {
 	m := cloneTestModel(49)
 	FreezeBatchNorm(m.Root)
-	tr := NewTrainer(m, 2)
+	tr := NewTrainer(m, 0)
 	rng := tensor.NewRNG(50)
 	x := tensor.New(4, 2, 8, 8)
 	rng.FillNormal(x, 0, 1)
@@ -205,7 +244,7 @@ func TestTrainerResyncsAfterWeightMutation(t *testing.T) {
 		p.W.Data()[0] *= 1.5
 	}
 	m2 := m.Clone()
-	tr2 := NewTrainer(m2, 2)
+	tr2 := NewTrainer(m2, 0)
 	m2.ZeroGrad()
 	loss2, _ := tr2.ForwardBackward(x, labels, 1)
 
@@ -243,21 +282,16 @@ func flatGrads(m *Model) []float32 {
 
 // runPairSteps runs three consecutive two-term steps on a fresh frozen
 // model, mutating master weights between steps as the attack's masked
-// update does. With pair set the terms run through ForwardBackwardPair;
-// otherwise through two sequential ForwardBackward calls.
-func runPairSteps(t *testing.T, shards, workers int, pair bool) []pairStep {
+// update does, at the given tensor.MaxWorkers bound. With pair set the
+// terms run through ForwardBackwardPair; otherwise through two
+// sequential ForwardBackward calls.
+func runPairSteps(t *testing.T, workers int, pair bool) []pairStep {
 	t.Helper()
-	prev := tensor.SetMaxWorkers(workers)
-	prevBatch := SetBatchWorkers(workers)
-	defer func() {
-		tensor.SetMaxWorkers(prev)
-		SetBatchWorkers(prevBatch)
-	}()
+	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(workers))
 
 	m := cloneTestModel(61)
 	FreezeBatchNorm(m.Root)
-	tr := NewTrainer(m, shards)
-	tr.SetWorkers(workers)
+	tr := NewTrainer(m, 0)
 
 	rng := tensor.NewRNG(62)
 	x0 := tensor.New(6, 2, 8, 8)
@@ -321,28 +355,28 @@ func firstDiff(a, b []float32) int {
 // TestTrainerPairMatchesSequentialCalls pins the term-order contract:
 // a ForwardBackwardPair is bit-identical to two sequential
 // ForwardBackward calls — master gradients, both losses and both input
-// gradients — at every worker and shard count, across consecutive
-// steps with master weight mutations in between.
+// gradients — at every worker bound, across consecutive steps with
+// master weight mutations in between. At 2 and 4 workers the two terms
+// run concurrently.
 func TestTrainerPairMatchesSequentialCalls(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		ref := runPairSteps(t, shards, 1, false)
-		for _, workers := range []int{1, 2, 4} {
-			got := runPairSteps(t, shards, workers, true)
-			for step := range ref {
-				r, g := ref[step], got[step]
-				if g.loss0 != r.loss0 || g.loss1 != r.loss1 {
-					t.Fatalf("shards=%d workers=%d step %d: losses (%v, %v) != sequential (%v, %v)",
-						shards, workers, step, g.loss0, g.loss1, r.loss0, r.loss1)
-				}
-				if i := firstDiff(g.grads, r.grads); i >= 0 {
-					t.Fatalf("shards=%d workers=%d step %d: master gradient %d differs from sequential", shards, workers, step, i)
-				}
-				if i := firstDiff(g.inGrad0, r.inGrad0); i >= 0 {
-					t.Fatalf("shards=%d workers=%d step %d: term-0 input gradient %d differs", shards, workers, step, i)
-				}
-				if i := firstDiff(g.inGrad1, r.inGrad1); i >= 0 {
-					t.Fatalf("shards=%d workers=%d step %d: term-1 input gradient %d differs", shards, workers, step, i)
-				}
+	raiseProcs(t)
+	ref := runPairSteps(t, 1, false)
+	for _, workers := range []int{1, 2, 4} {
+		got := runPairSteps(t, workers, true)
+		for step := range ref {
+			r, g := ref[step], got[step]
+			if g.loss0 != r.loss0 || g.loss1 != r.loss1 {
+				t.Fatalf("workers=%d step %d: losses (%v, %v) != sequential (%v, %v)",
+					workers, step, g.loss0, g.loss1, r.loss0, r.loss1)
+			}
+			if i := firstDiff(g.grads, r.grads); i >= 0 {
+				t.Fatalf("workers=%d step %d: master gradient %d differs from sequential", workers, step, i)
+			}
+			if i := firstDiff(g.inGrad0, r.inGrad0); i >= 0 {
+				t.Fatalf("workers=%d step %d: term-0 input gradient %d differs", workers, step, i)
+			}
+			if i := firstDiff(g.inGrad1, r.inGrad1); i >= 0 {
+				t.Fatalf("workers=%d step %d: term-1 input gradient %d differs", workers, step, i)
 			}
 		}
 	}
@@ -352,7 +386,7 @@ func TestTrainerPairMatchesSequentialCalls(t *testing.T) {
 // make the second term depend on the first, so a pair must refuse them.
 func TestTrainerPairRejectsUnfrozenBatchNorm(t *testing.T) {
 	m := cloneTestModel(63)
-	tr := NewTrainer(m, 1)
+	tr := NewTrainer(m, 0)
 	x := tensor.New(2, 2, 8, 8)
 	labels := []int{0, 1}
 	defer func() {

@@ -35,12 +35,6 @@ type Config struct {
 	WeightDecay float32
 	// Seed drives sampling and shuffling.
 	Seed int64
-	// Shards fixes the data-parallel trainer's shard count (0 selects
-	// nn.DefaultTrainShards, a single shard — the monolithic gradient).
-	// The shard count, not the worker count, fixes the floating-point
-	// summation geometry, so identical configs still produce identical
-	// models on any machine.
-	Shards int
 }
 
 // Defaults fills unset fields with workable values.
@@ -98,12 +92,9 @@ func Train(cfg Config) (*Result, error) {
 
 	opt := nn.NewSGD(m.Params(), cfg.LR, cfg.Momentum, cfg.WeightDecay)
 	rng := tensor.NewRNG(cfg.Seed)
-	// Victim training runs on the data-parallel engine. With Shards > 1
-	// each batch is sharded across model replicas (ghost batch norm over
-	// the shards) and the gradients tree-reduce into the master before
-	// the step; the single-shard default reproduces the monolithic
-	// gradient exactly.
-	trainer := nn.NewTrainer(m, cfg.Shards)
+	// Victim training runs on the trainer, which reproduces the
+	// monolithic gradient exactly.
+	trainer := nn.NewTrainer(m, nn.DefaultTrainShards)
 	var history []float32
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// Simple step decay keeps late epochs stable.

@@ -302,12 +302,10 @@ func BenchmarkQuantForwardBatch64(b *testing.B) { benchForwardBatch(b, true, 64)
 // criterion), not scheduler luck.
 func BenchmarkQuantForwardST(b *testing.B) {
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
-	defer nn.SetBatchWorkers(nn.SetBatchWorkers(1))
 	benchForward(b, true)
 }
 
 func BenchmarkFloatForwardST(b *testing.B) {
 	defer tensor.SetMaxWorkers(tensor.SetMaxWorkers(1))
-	defer nn.SetBatchWorkers(nn.SetBatchWorkers(1))
 	benchForward(b, false)
 }

@@ -33,7 +33,7 @@ type Candidate struct {
 // Candidates score concurrently: each candidate on a lowered GEMM
 // weight packs a private panel override from pooled scratch and runs
 // the suffix forward without mutating the shared quantizer, so any
-// number of workers produce bit-identical losses. Candidates on
+// tensor.MaxWorkers bound produces bit-identical losses. Candidates on
 // parameters the int8 plan reads from live model floats (biases, BN
 // gamma/beta, fallback-layer params) — and every candidate when the
 // plan contains float fallback layers — score serially by
@@ -48,7 +48,6 @@ type Scorer struct {
 	clean, trig     *tensor.Tensor
 	labels, targets []int
 	alpha           float32
-	workers         int
 
 	// cleanB/trigB are the boundary activations: entry b is the
 	// activation entering top-level stage b; the last entry is the final
@@ -80,16 +79,6 @@ func NewScorer(qm *QModel, clean, trig *tensor.Tensor, labels, targets []int, al
 	}
 	qm.q.OnCodesChanged(func(pi int) { s.invalidateParam(pi) })
 	return s
-}
-
-// SetWorkers bounds how many candidates score concurrently (0 restores
-// the kernel parallelism bound). Scheduling only: every worker count
-// produces bit-identical losses.
-func (s *Scorer) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.workers = n
 }
 
 // InputsChanged invalidates every cached activation. Call after
@@ -234,11 +223,7 @@ func (s *Scorer) ScoreInto(dst []float32, cands []Candidate) ([]float32, float32
 			ser = append(ser, j)
 		}
 	}
-	workers := s.workers
-	if workers <= 0 {
-		workers = tensor.MaxWorkers()
-	}
-	tensor.ParallelChunksIndexed(len(par), len(par), workers, func(idx, _, _ int) {
+	tensor.ParallelChunksIndexed(len(par), len(par), tensor.MaxWorkers(), func(idx, _, _ int) {
 		j := par[idx]
 		dst[j.ci] = s.scoreOverride(cands[j.ci], j.pi, j.stage, j.w)
 	})
