@@ -172,6 +172,9 @@ func writeGolden(t *testing.T, old map[string]string, set string, digests map[st
 	sb.WriteString("#   go test ./internal/pretrain -run TestGoldenDigests -update\n")
 	sb.WriteString("# (or -run TestGoldenQuantForward for the \"any\" lines) and say why\n")
 	sb.WriteString("# in CHANGES.md. An \"any\" line must hold under every kernel set.\n")
+	sb.WriteString("# The \"any fleet/…\" lines are TestGoldenFleetDigest (internal/campaign):\n")
+	sb.WriteString("#   go test ./internal/campaign -run TestGoldenFleetDigest -update\n")
+	sb.WriteString("# once with -short and once without.\n")
 	for _, k := range keys {
 		fmt.Fprintf(&sb, "%s %s\n", k, old[k])
 	}
