@@ -56,11 +56,12 @@ bench-train:
 
 ## bench-online: online templating-engine benchmarks — the full
 ## ExecuteOnline buffer-size sweep (32768 → 262144 pages at 1/2/4
-## workers) plus the profiling, placement and side-channel micro
-## benchmarks — merged with the committed pre-optimization baseline
-## (BENCH_online_baseline.json, *PrePR entries) into BENCH_online.json.
+## workers) plus the profiling, placement, flip-index build and
+## side-channel micro benchmarks — merged with the committed
+## pre-optimization baseline (BENCH_online_baseline.json, *PrePR
+## entries) into BENCH_online.json.
 bench-online:
-	$(GO) run ./cmd/benchjson -bench 'ExecuteOnline|ProfileBuffer|PlanPlacement|SpoilerSweep|ClusterByBank' \
+	$(GO) run ./cmd/benchjson -bench 'ExecuteOnline|ProfileBuffer|PlanPlacement|PrimeIndex|SpoilerSweep|ClusterByBank' \
 		-pkg ./internal/core,./internal/profile,./internal/sidechan -benchtime 1x \
 		-merge BENCH_online_baseline.json -o BENCH_online.json
 

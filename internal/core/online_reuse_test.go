@@ -143,3 +143,49 @@ func TestExecuteOnlineProfileReuseIdentity(t *testing.T) {
 		t.Fatal("mismatched cached profile accepted")
 	}
 }
+
+// TestExecuteOnlineToleratesOutOfRangeFlips: ExecuteOnline takes
+// requirements and templates unvalidated (campaign.Job.Validate guards
+// only the fleet engine). A requirement flip outside the page's cells
+// must come back unmatched, and a cached template carrying such flips
+// must plan as if they were absent — no panic on either.
+func TestExecuteOnlineToleratesOutOfRangeFlips(t *testing.T) {
+	const filePages = 16
+	cfg := OnlineConfig{BufferPages: 512, Sides: 2, Intensity: 1, MeasureSeed: 7}
+	prof := templateOn(t, reuseModule(t, cfg.BufferPages), cfg)
+	var good profile.CellFlip
+	found := false
+	for ri := range prof.Rows {
+		if fl := prof.Rows[ri].Pages[0].Flips; len(fl) > 0 {
+			good, found = fl[0], true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("template holds no flip to build a matchable requirement from")
+	}
+	bad := []profile.CellFlip{
+		{Offset: memsys.PageSize, Bit: 0, Dir: dram.ZeroToOne},
+		{Offset: -8, Bit: 1, Dir: dram.OneToZero},
+		{Offset: 9, Bit: 8, Dir: dram.ZeroToOne},
+		{Offset: 9, Bit: 3, Dir: 0},
+	}
+	for ri := range prof.Rows {
+		prof.Rows[ri].Pages[1].Flips = append(prof.Rows[ri].Pages[1].Flips, bad...)
+	}
+	var reqs []profile.PageRequirement
+	for i, f := range bad {
+		reqs = append(reqs, profile.PageRequirement{FilePage: i, Flips: []profile.CellFlip{f}})
+	}
+	reqs = append(reqs, profile.PageRequirement{FilePage: len(bad), Flips: []profile.CellFlip{good}})
+
+	file := make([]byte, filePages*memsys.PageSize)
+	cfg.Profile = prof
+	res, err := ExecuteOnline(reuseModule(t, cfg.BufferPages), file, reqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Unmatched != len(bad) || len(res.Plan.Matched) != 1 {
+		t.Fatalf("unmatched %d / matched %d, want %d/1", res.Unmatched, len(res.Plan.Matched), len(bad))
+	}
+}

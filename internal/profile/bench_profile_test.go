@@ -88,3 +88,28 @@ func BenchmarkPlanPlacement(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPrimeIndex times building the flip index of a 32768-page
+// DDR3 template from scratch — what the campaign engine's cache leader
+// does to every cold template before publishing it, and what a clone
+// redoes on its first plan. Each iteration primes a fresh Clone; the
+// clone itself is untimed.
+func BenchmarkPrimeIndex(b *testing.B) {
+	const bufPages = 32768
+	sys, attacker, base := benchSetup(b, bufPages)
+	prof, err := ProfileBuffer(sys, attacker, base, bufPages, Config{
+		Sides: 2, Intensity: 1, MeasureSeed: 5, SkipSpoilerCheck: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := prof.Clone()
+		b.StartTimer()
+		c.PrimeIndex()
+	}
+	b.ReportMetric(float64(prof.TotalFlips()), "flips")
+}

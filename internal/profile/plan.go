@@ -207,16 +207,37 @@ func PlanPlacement(p *Profile, reqs []PageRequirement, filePages int) (*Placemen
 	return &plan, nil
 }
 
+// cellCount is the number of (offset, bit, direction) cells of a 4 KB
+// page — the length of the dense flip index.
+const cellCount = memsys.PageSize * 8 * 2
+
+// cellID numbers a flip's cell densely in [0, cellCount). A flip
+// outside the page (offset, bit or direction out of range, possible
+// only in hand-built input) has no cell: it can never match a valid
+// requirement, so the index skips it and a requirement holding it
+// stays unmatched.
+func cellID(f CellFlip) (int, bool) {
+	if f.Offset < 0 || f.Offset >= memsys.PageSize || f.Bit < 0 || f.Bit >= 8 ||
+		(f.Dir != dram.ZeroToOne && f.Dir != dram.OneToZero) {
+		return 0, false
+	}
+	return (f.Offset*8+f.Bit)*2 + int(f.Dir-dram.ZeroToOne), true
+}
+
 // buildFlipIndex builds (incrementally, memoized per profile) the
-// inverted flip inventory: every (offset, bit, dir) cell maps to the
-// packed (row, half) candidates — rows ascending, halves ascending —
-// whose template contains it. Matching a requirement then walks only
-// the candidate list of its rarest needle instead of scanning every
-// profiled row. Rows appended after a previous build (adaptive
-// re-templating) are indexed on the next call; appending preserves the
-// ascending candidate order because new rows always take higher
-// indices. Flips unioned into already-indexed rows go through
-// indexInsertFlip instead.
+// inverted flip inventory: every cell lists the packed (row, half)
+// candidates — rows ascending, halves ascending — whose template
+// contains it. Matching a requirement then walks only the candidate
+// list of its rarest needle instead of scanning every profiled row.
+//
+// A full build counts the flips per cell, lays every list out in one
+// flat array in cell order, and fills it in a second pass over the rows.
+// Each cell's list is capped at its length, so growing one (rows
+// appended after a previous build by adaptive re-templating, indexed
+// here on the next call, or a flip unioned into an indexed row by
+// indexInsertFlip) reallocates that list alone and never writes into
+// its neighbour. Appending preserves the ascending candidate order
+// because new rows always take higher indices.
 func (p *Profile) buildFlipIndex() {
 	// Fully-indexed profiles return before touching any field, so a
 	// primed profile (see PrimeIndex) can serve concurrent PlanPlacement
@@ -225,29 +246,53 @@ func (p *Profile) buildFlipIndex() {
 		return
 	}
 	if p.flipIndex == nil {
-		p.flipIndex = make(map[CellFlip][]int32)
+		p.flipIndex = make([][]int32, cellCount)
+		ends := make([]int32, cellCount)
+		p.eachIndexable(0, func(id int, _ int32) { ends[id]++ })
+		var n int32
+		for id, c := range ends {
+			n += c
+			ends[id] = n
+		}
+		flat := make([]int32, n)
+		lo := int32(0)
+		for id, hi := range ends {
+			p.flipIndex[id] = flat[lo:lo:hi]
+			lo = hi
+		}
 	}
-	for ri := p.indexedRows; ri < len(p.Rows); ri++ {
+	p.eachIndexable(p.indexedRows, func(id int, packed int32) {
+		p.flipIndex[id] = append(p.flipIndex[id], packed)
+	})
+	p.indexedRows = len(p.Rows)
+}
+
+// eachIndexable calls fn with the cell and packed (row, half) of every
+// in-range flip of rows [from, len(Rows)), in candidate order.
+func (p *Profile) eachIndexable(from int, fn func(id int, packed int32)) {
+	for ri := from; ri < len(p.Rows); ri++ {
 		for h := 0; h < 2; h++ {
 			for _, f := range p.Rows[ri].Pages[h].Flips {
-				p.flipIndex[f] = append(p.flipIndex[f], int32(ri*2+h))
+				if id, ok := cellID(f); ok {
+					fn(id, int32(ri*2+h))
+				}
 			}
 		}
 	}
-	p.indexedRows = len(p.Rows)
 }
 
 // indexInsertFlip inserts one candidate into the memoized inventory at
 // its sorted position, keeping the ascending (row, half) order the
 // tie-break of findMatch depends on. No-op while the index has not been
 // built yet (the next buildFlipIndex will pick the flip up from the row
-// itself).
+// itself) and for a flip with no cell.
 func (p *Profile) indexInsertFlip(f CellFlip, row, half int) {
-	if p.flipIndex == nil || row >= p.indexedRows {
+	id, ok := cellID(f)
+	if p.flipIndex == nil || row >= p.indexedRows || !ok {
 		return
 	}
 	packed := int32(row*2 + half)
-	l := p.flipIndex[f]
+	l := p.flipIndex[id]
 	at := sort.Search(len(l), func(i int) bool { return l[i] >= packed })
 	if at < len(l) && l[at] == packed {
 		return
@@ -255,7 +300,7 @@ func (p *Profile) indexInsertFlip(f CellFlip, row, half int) {
 	l = append(l, 0)
 	copy(l[at+1:], l[at:])
 	l[at] = packed
-	p.flipIndex[f] = l
+	p.flipIndex[id] = l
 }
 
 // rowAggConflict reports whether any aggressor page of row ri was
@@ -291,10 +336,11 @@ func findMatch(p *Profile, req PageRequirement, usedPages, reservedPages []bool)
 	// rarest needle's list covers every possible match.
 	var cands []int32
 	for i, f := range req.Flips {
-		l, present := p.flipIndex[f]
-		if !present {
+		id, ok := cellID(f)
+		if !ok || len(p.flipIndex[id]) == 0 {
 			return 0, 0, false
 		}
+		l := p.flipIndex[id]
 		if i == 0 || len(l) < len(cands) {
 			cands = l
 		}

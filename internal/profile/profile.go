@@ -66,9 +66,11 @@ type Profile struct {
 	// overhead dominated profile assembly.
 	victimIdx []int32
 	// flipIndex is the inverted flip inventory built lazily by
-	// PlanPlacement: cell flip → packed (row*2+half) candidates in
-	// ascending order.
-	flipIndex map[CellFlip][]int32
+	// PlanPlacement, indexed by cellID = (Offset·8 + Bit)·2 + (Dir − 1):
+	// each of a page's cellCount cells lists the packed (row*2+half)
+	// candidates in ascending order. A full build lays the lists out in
+	// one flat array, each capped at its length (see buildFlipIndex).
+	flipIndex [][]int32
 	// indexedRows counts how many Rows the memoized flipIndex covers;
 	// rows appended by adaptive re-templating are indexed incrementally
 	// on the next buildFlipIndex call.

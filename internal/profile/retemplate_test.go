@@ -275,14 +275,5 @@ func TestReprofileUnionRecoversFaultMisses(t *testing.T) {
 		t.Fatalf("after 7 sweeps recovered %d of %d flips", grown, full.TotalFlips())
 	}
 	// The incrementally maintained index must agree with a fresh build.
-	fresh := &Profile{BufBase: p.BufBase, BufPages: p.BufPages, Rows: p.Rows}
-	fresh.buildFlipIndex()
-	if len(fresh.flipIndex) != len(p.flipIndex) {
-		t.Fatalf("index size diverged: fresh %d vs incremental %d", len(fresh.flipIndex), len(p.flipIndex))
-	}
-	for f, want := range fresh.flipIndex {
-		if !reflect.DeepEqual(p.flipIndex[f], want) {
-			t.Fatalf("index for %+v diverged: %v vs %v", f, p.flipIndex[f], want)
-		}
-	}
+	checkIndexMatchesFresh(t, p)
 }

@@ -25,7 +25,7 @@ package tensor
 //
 // Pack buffers come from the package buffer pool (pool.go), so a
 // training loop reuses the same panels call after call. Row blocks are
-// distributed over the persistent worker pool; with maxWorkers == 1
+// distributed over the persistent worker pool; with MaxWorkers() == 1
 // everything runs inline on the caller's goroutine.
 
 const (
@@ -106,18 +106,19 @@ func gemm(m, n, k int, a []float32, rsA, csA int, b []float32, rsB, csB int, c [
 	for i := range c {
 		c[i] = 0
 	}
-	if maxWorkers <= 1 {
+	workers := MaxWorkers()
+	if workers <= 1 {
 		gemmSerial(m, n, k, a, rsA, csA, b, rsB, csB, c)
 		return
 	}
-	gemmParallel(m, n, k, a, rsA, csA, b, rsB, csB, c)
+	gemmParallel(workers, m, n, k, a, rsA, csA, b, rsB, csB, c)
 }
 
 // gemmParallel is the multi-worker path. It lives in its own function
 // so the worker closure's captures only force heap escapes here — with
 // the branch inline in gemm, every serial call paid an allocation for
 // the captured parameters at function entry.
-func gemmParallel(m, n, k int, a []float32, rsA, csA int, b []float32, rsB, csB int, c []float32) {
+func gemmParallel(workers, m, n, k int, a []float32, rsA, csA int, b []float32, rsB, csB int, c []float32) {
 	mr, nr, mc := gemmMR, gemmNR, gemmMC
 	for pc := 0; pc < k; pc += gemmKC {
 		kc := min(gemmKC, k-pc)
@@ -128,7 +129,7 @@ func gemmParallel(m, n, k int, a []float32, rsA, csA int, b []float32, rsB, csB 
 			packBPanels(pb, b, rsB, csB, pc, kc, jc, nc)
 
 			nBlocks := (m + mc - 1) / mc
-			ParallelChunks(nBlocks, maxWorkers, func(blo, bhi int) {
+			ParallelChunks(nBlocks, workers, func(blo, bhi int) {
 				mPanels := (mc + mr - 1) / mr
 				pa := GetF32(mPanels * mr * kc)
 				// Edge-tile scratch: pooled (not stack) because passing

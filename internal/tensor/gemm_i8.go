@@ -189,7 +189,7 @@ func GemmI8PackedA(c []int32, pa []int16, m, k, n int, src PackerI8) {
 	kcMax := min(gemmI8KC, k)
 	ncMax := min(gemmI8NC, n)
 	pbLen := ((ncMax + nr - 1) / nr) * nr * ((kcMax + 1) / 2) * 2
-	ParallelChunks(nBlocks, maxWorkers, func(blo, bhi int) {
+	ParallelChunks(nBlocks, MaxWorkers(), func(blo, bhi int) {
 		pb := GetI16(pbLen)
 		tile := GetI32(gemmI8MaxMR * gemmI8MaxNR)
 		for blk := blo; blk < bhi; blk++ {

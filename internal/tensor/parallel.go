@@ -209,15 +209,16 @@ func TreeReduceInto(dst []float32, slots [][]float32) {
 }
 
 // parallelFor runs fn(lo, hi) over disjoint chunks of [0, n) on up to
-// maxWorkers pool workers and waits for completion. Small ranges run
+// MaxWorkers() pool workers and waits for completion. Small ranges run
 // inline to avoid synchronization overhead.
 func parallelFor(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if maxWorkers <= 1 || n < 64 {
+	workers := MaxWorkers()
+	if workers <= 1 || n < 64 {
 		fn(0, n)
 		return
 	}
-	ParallelChunks(n, maxWorkers, fn)
+	ParallelChunks(n, workers, fn)
 }
