@@ -54,8 +54,8 @@ func TestExtendProfileIndexMatchesFreshBuild(t *testing.T) {
 	sys, attacker, p := setupProfiled(t, dram.PaperDDR3(), 512, 2)
 	p.PrimeIndex()
 	before := snapshotIndex(p)
-	ext := p.BufBase + p.BufPages*memsys.PageSize
-	if _, err := attacker.Mmap(512); err != nil {
+	ext, err := attacker.Mmap(512)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ExtendProfile(sys, attacker, p, ext, 512, Config{Sides: 2, Intensity: 1, MeasureSeed: 5}); err != nil {

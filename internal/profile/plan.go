@@ -336,11 +336,13 @@ func findMatch(p *Profile, req PageRequirement, usedPages, reservedPages []bool)
 	// rarest needle's list covers every possible match.
 	var cands []int32
 	for i, f := range req.Flips {
-		id, ok := cellID(f)
-		if !ok || len(p.flipIndex[id]) == 0 {
+		var l []int32
+		if id, ok := cellID(f); ok {
+			l = p.flipIndex[id]
+		}
+		if len(l) == 0 {
 			return 0, 0, false
 		}
-		l := p.flipIndex[id]
 		if i == 0 || len(l) < len(cands) {
 			cands = l
 		}
