@@ -56,12 +56,13 @@ bench-train:
 
 ## bench-online: online templating-engine benchmarks — the full
 ## ExecuteOnline buffer-size sweep (32768 → 262144 pages at 1/2/4
-## workers) plus the profiling, placement, flip-index build and
-## side-channel micro benchmarks — merged with the committed
+## workers) plus the profiling, faulty re-sweep (ReprofileUnion at 1/2
+## workers), placement, flip-index build and side-channel micro
+## benchmarks — merged with the committed
 ## pre-optimization baseline (BENCH_online_baseline.json, *PrePR
 ## entries) into BENCH_online.json.
 bench-online:
-	$(GO) run ./cmd/benchjson -bench 'ExecuteOnline|ProfileBuffer|PlanPlacement|PrimeIndex|SpoilerSweep|ClusterByBank' \
+	$(GO) run ./cmd/benchjson -bench 'ExecuteOnline|ProfileBuffer|ReprofileUnion|PlanPlacement|PrimeIndex|SpoilerSweep|ClusterByBank' \
 		-pkg ./internal/core,./internal/profile,./internal/sidechan -benchtime 1x \
 		-merge BENCH_online_baseline.json -o BENCH_online.json
 
@@ -128,9 +129,12 @@ check-bench:
 ## they fail if it ever fuses a portable twin's multiply and add
 ## (DESIGN §12, §13). Last, it reruns the serving batch-policy tests
 ## (forced coalescing, drain on Close, panic isolation) ten times under
-## the race detector, so a timing-dependent regression shows (DESIGN §14).
+## the race detector, so a timing-dependent regression shows (DESIGN §14),
+## and does the same for the DRAM module's lock-free weak-cell table and
+## atomic fault pass counters (DESIGN §6 item 5).
 V3_TESTS = Elementwise|BNAffine|BNSums|BatchNormMatches|Int8Path|QuantizePlanes|ConvI8|GoldenQuantForward
 SERVE_POLICY_TESTS = TestServeCoalescedBatchExact|TestServeCloseDrains|TestServeEnginePanic
+DRAM_TABLE_TESTS = TestSparseDenseWeakCellIdentity|TestWeakTableCapBoundsResidency|TestConcurrentFaultyHammerMatchesSerial
 
 vet: check-bench test-race
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -143,3 +147,4 @@ vet: check-bench test-race
 		GOAMD64=v3 $(GO) test -count=1 -run '$(V3_TESTS)' ./internal/tensor ./internal/nn ./internal/pretrain; \
 	else echo "vet: no AVX2 CPU, skipping the GOAMD64=v3 kernel identity tests"; fi
 	$(GO) test -race -count=10 -run '$(SERVE_POLICY_TESTS)' ./internal/serve
+	$(GO) test -race -count=10 -run '$(DRAM_TABLE_TESTS)' ./internal/dram

@@ -1,6 +1,10 @@
 package dram
 
-import "rowhammer/internal/splitmix"
+import (
+	"sync/atomic"
+
+	"rowhammer/internal/splitmix"
+)
 
 // FaultModel makes weak-cell firing probabilistic, modeling the online
 // phase's real-world stochasticity: TRR sampling luck, rare flippy
@@ -14,7 +18,7 @@ import "rowhammer/internal/splitmix"
 // row in a fixed order regardless of worker count, so pass counters —
 // and therefore every fault draw — are schedule-independent and results
 // stay bit-identical at 1/2/4 workers. Like the weak-cell streams in
-// weakCells, every key is pushed through the splitmix64 finalizer
+// genWeakCells, every key is pushed through the splitmix64 finalizer
 // before use; raw linear keys would make nearby (bank, row, pass)
 // streams shifted copies of one another and correlate the faults.
 type FaultModel struct {
@@ -44,26 +48,15 @@ func (f FaultModel) enabled() bool {
 // start at the first disturbance after installation. Safe to call
 // between hammer passes, not concurrently with them.
 func (m *Module) SetFaultModel(f FaultModel) {
-	m.weakMu.Lock()
-	defer m.weakMu.Unlock()
 	m.fault = f
-	if m.passCount == nil && f.enabled() {
-		m.passCount = make(map[int64]uint64)
+	if m.passes == nil && f.enabled() {
+		m.passes = make([]atomic.Uint64, m.geom.Banks*m.geom.RowsPerBank)
 	}
 }
 
 // FaultModelInstalled returns the active fault model (zero value when
 // none).
 func (m *Module) FaultModelInstalled() FaultModel { return m.fault }
-
-// nextPass fetches-and-increments the disturbance pass counter of one
-// victim row. Caller must hold weakMu.
-func (m *Module) nextPassLocked(bank, row int) uint64 {
-	key := int64(bank)<<32 | int64(row)
-	p := m.passCount[key]
-	m.passCount[key] = p + 1
-	return p
-}
 
 // faultUniform draws one uniform in [0, 1) from the counter-based fault
 // stream. bit is the cell's BitInRow, or −1 for per-row draws (the TRR

@@ -3,6 +3,8 @@ package dram
 import (
 	"bytes"
 	"math"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -198,4 +200,67 @@ func TestFaultModelInstalledRoundTrips(t *testing.T) {
 	if got := m.FaultModelInstalled(); got != want {
 		t.Fatalf("FaultModelInstalled = %+v, want %+v", got, want)
 	}
+}
+
+// TestConcurrentFaultyHammerMatchesSerial: goroutines hammering
+// disjoint rows (one bank each) under a fault model must leave the
+// same memory, the same flip events and the same per-row pass counters
+// as one goroutine running the banks in turn. The pass counters and
+// the weak table are shared by every row, so this is the race gate for
+// both.
+func TestConcurrentFaultyHammerMatchesSerial(t *testing.T) {
+	const banks, passes = 8, 3
+	fm := FaultModel{FlipFailProb: 0.3, TRRJitter: 0.05, Seed: 9}
+	run := func(concurrent bool) (*Module, [][]FlipEvent) {
+		m := newTestModule(t, hotProfile())
+		m.SetFaultModel(fm)
+		events := make([][]FlipEvent, banks)
+		work := func(bank int) {
+			for row := 1; row < m.geom.RowsPerBank-1; row++ {
+				m.FillRow(bank, row, byte(row%2)*0xFF)
+			}
+			for pass := 0; pass < passes; pass++ {
+				for victim := 2; victim < m.geom.RowsPerBank-2; victim += 3 {
+					events[bank] = append(events[bank], m.Hammer(bank, []int{victim - 1, victim + 1}, 1)...)
+				}
+			}
+		}
+		if !concurrent {
+			for bank := 0; bank < banks; bank++ {
+				work(bank)
+			}
+			return m, events
+		}
+		var wg sync.WaitGroup
+		for bank := 0; bank < banks; bank++ {
+			wg.Add(1)
+			go func(bank int) {
+				defer wg.Done()
+				work(bank)
+			}(bank)
+		}
+		wg.Wait()
+		return m, events
+	}
+	serial, se := run(false)
+	conc, ce := run(true)
+	flips := 0
+	for bank := range se {
+		flips += len(se[bank])
+		if !slices.Equal(se[bank], ce[bank]) {
+			t.Fatalf("bank %d: flip events differ (%d serial, %d concurrent)", bank, len(se[bank]), len(ce[bank]))
+		}
+	}
+	if flips == 0 {
+		t.Fatal("workload produced no flips; test is vacuous")
+	}
+	for i := range serial.passes {
+		if s, c := serial.passes[i].Load(), conc.passes[i].Load(); s != c {
+			t.Fatalf("row index %d: pass counter %d serial, %d concurrent", i, s, c)
+		}
+	}
+	if serial.passes[2].Load() != passes {
+		t.Fatalf("bank 0 row 2 took %d passes, want %d", serial.passes[2].Load(), passes)
+	}
+	compareModules(t, serial, conc, "after concurrent faulty hammering")
 }

@@ -22,11 +22,9 @@ import "sync"
 func (m *Module) Reset(profile DeviceProfile, seed int64) {
 	m.profile = profile
 	m.seed = seed
-	m.weakMu.Lock()
-	m.weakCache = make(map[int64][]WeakCell)
-	m.passCount = nil
+	m.weak.Store(newWeakTable(m.geom))
+	m.passes = nil
 	m.fault = FaultModel{}
-	m.weakMu.Unlock()
 	m.store.reset()
 }
 

@@ -2,6 +2,8 @@ package dram
 
 import (
 	"bytes"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -162,20 +164,94 @@ func TestSparseDenseWeakCellIdentity(t *testing.T) {
 			}
 		}
 	}
-	// Cache regeneration is bit-identical: force a drop and re-query.
-	key := int64(0)<<32 | int64(3)
-	want := append([]WeakCell(nil), sparse.weakCells(0, 3)...)
-	sparse.weakMu.Lock()
-	delete(sparse.weakCache, key)
-	sparse.weakMu.Unlock()
-	got := sparse.weakCells(0, 3)
-	if len(got) != len(want) {
-		t.Fatalf("regenerated cell count differs: %d vs %d", len(got), len(want))
+	// Cache regeneration is bit-identical: drop the row and re-query.
+	orig := sparse.weakCells(0, 3)
+	if len(orig) == 0 {
+		t.Fatal("row 3 has no weak cells; the regeneration check is vacuous")
 	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("regenerated cell %d differs: %+v vs %+v", i, got[i], want[i])
+	want := append([]weakCell(nil), orig...)
+	sparse.weak.Load().blocks[0].Load()[3].Store(nil)
+	got := sparse.weakCells(0, 3)
+	if &got[0] == &orig[0] {
+		t.Fatal("dropped row was not regenerated")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("regenerated cells differ:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// residentWeakRows counts the cell lists the module's current weak
+// table holds.
+func residentWeakRows(m *Module) int {
+	n := 0
+	t := m.weak.Load()
+	for i := range t.blocks {
+		if blk := t.blocks[i].Load(); blk != nil {
+			for j := range blk {
+				if blk[j].Load() != nil {
+					n++
+				}
+			}
 		}
+	}
+	return n
+}
+
+// TestWeakTableCapBoundsResidency sweeps more rows than weakCacheLimit:
+// the table never holds more than the limit, and rows regenerated after
+// the drop are identical to their first generation. A second, concurrent
+// sweep crosses the limit again from several goroutines at once, racing
+// publishes against table swaps; every lookup must still return the
+// row's pure (seed, bank, row) list.
+func TestWeakTableCapBoundsResidency(t *testing.T) {
+	geom := Geometry{Banks: 16, RowsPerBank: weakCacheLimit/16 + 200}
+	m, err := NewModule(geom, DeviceProfile{Name: "sparse", Type: DDR3, FlipsPerPage: 1}, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const early = 100
+	first := make([][]weakCell, early)
+	for bank := 0; bank < geom.Banks; bank++ {
+		for row := 0; row < geom.RowsPerBank; row++ {
+			cells := m.weakCells(bank, row)
+			if bank == 0 && row < early {
+				first[row] = append([]weakCell(nil), cells...)
+			}
+			if n := m.weak.Load().rows.Load(); n > weakCacheLimit {
+				t.Fatalf("bank %d row %d: %d rows published, limit %d", bank, row, n, weakCacheLimit)
+			}
+		}
+	}
+	total := geom.Banks * geom.RowsPerBank
+	if got := residentWeakRows(m); got > weakCacheLimit || got >= total {
+		t.Fatalf("%d of %d rows resident after the sweep, limit %d", got, total, weakCacheLimit)
+	}
+	for row := 0; row < early; row++ {
+		if got := m.weakCells(0, row); !slices.Equal(got, first[row]) {
+			t.Fatalf("row %d regenerated differently:\n got %+v\nwant %+v", row, got, first[row])
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < total; i++ {
+				idx := (i*(2*g+1) + g*997) % total // a different order per goroutine
+				bank, row := idx/geom.RowsPerBank, idx%geom.RowsPerBank
+				if got := m.weakCells(bank, row); !slices.Equal(got, m.genWeakCells(bank, row)) {
+					t.Errorf("goroutine %d: bank %d row %d: lookup differs from generation", g, bank, row)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	// A publish that raced a swap may land in the fresh table after its
+	// count was taken, so the bound holds up to the number of racers.
+	if got := residentWeakRows(m); got > weakCacheLimit+4 {
+		t.Fatalf("%d rows resident after the concurrent sweep, limit %d", got, weakCacheLimit)
 	}
 }
 
