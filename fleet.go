@@ -2,12 +2,9 @@ package rowhammer
 
 import (
 	"cmp"
-	"encoding/json"
 	"fmt"
-	"net/http"
 
 	"rowhammer/internal/campaign"
-	"rowhammer/internal/campaign/server"
 )
 
 // FleetModule is one deployment in a fleet sweep: a simulated DRAM
@@ -132,71 +129,3 @@ func toFleetReport(r campaign.Result) FleetReport {
 	}
 	return fr
 }
-
-// FleetServiceConfig configures an embedded campaignd daemon core — the
-// long-running orchestration service behind cmd/campaignd.
-type FleetServiceConfig struct {
-	// Dir is the durable state root (required). Fleets submitted to the
-	// service are checkpointed under it: a process killed mid-fleet
-	// resumes on the next StartFleetService over the same directory and
-	// finishes with byte-identical results.
-	Dir string
-	// Workers bounds concurrently executing campaigns per fleet (0 = 1).
-	Workers int
-	// MaxArenaMB caps estimated in-flight DRAM simulation state per
-	// fleet (0 = uncapped).
-	MaxArenaMB int
-	// CacheEntries bounds the cross-fleet profile cache (0 = unbounded).
-	CacheEntries int
-	// Logf, when non-nil, receives operational log lines.
-	Logf func(format string, args ...any)
-}
-
-// FleetService is a running campaignd core: a durable fleet queue over
-// the campaign engine with an HTTP/JSON surface. Mount Handler on any
-// http.Server (cmd/campaignd is exactly that plus flags), or drive it
-// in-process via SubmitJSON/FleetDone.
-type FleetService struct {
-	inner *server.Server
-}
-
-// StartFleetService opens cfg.Dir, resumes any fleet a previous process
-// left unfinished, and starts the service.
-func StartFleetService(cfg FleetServiceConfig) (*FleetService, error) {
-	s, err := server.New(server.Config{
-		Dir:          cfg.Dir,
-		Workers:      cfg.Workers,
-		MaxArenaMB:   cfg.MaxArenaMB,
-		CacheEntries: cfg.CacheEntries,
-		Logf:         cfg.Logf,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &FleetService{inner: s}, nil
-}
-
-// Handler returns the HTTP API: POST /v1/fleets, GET /v1/fleets,
-// GET /v1/fleets/{id}[/stream|/results], GET /v1/skus. See the
-// cmd/campaignd documentation for the wire schema and curl examples.
-func (s *FleetService) Handler() http.Handler { return s.inner.Handler() }
-
-// SubmitJSON submits a fleet spec (the POST /v1/fleets body) and
-// returns its id once the submission is durably checkpointed.
-func (s *FleetService) SubmitJSON(spec []byte) (string, error) {
-	var fs server.FleetSpec
-	if err := json.Unmarshal(spec, &fs); err != nil {
-		return "", fmt.Errorf("rowhammer: fleet spec: %w", err)
-	}
-	return s.inner.Submit(fs)
-}
-
-// FleetDone returns a channel closed when the fleet finishes.
-func (s *FleetService) FleetDone(id string) (<-chan struct{}, bool) {
-	return s.inner.FleetDone(id)
-}
-
-// Close stops the service. An in-flight fleet stops at its next stage
-// boundary with completed campaigns checkpointed; it resumes on the
-// next StartFleetService.
-func (s *FleetService) Close() error { return s.inner.Close() }

@@ -63,27 +63,11 @@ type cacheEntry struct {
 	elem *list.Element
 }
 
-// SKUPrior aggregates what past campaigns of an SKU observed. Priors
-// are strictly advisory — they size admission reservations and feed the
-// fleet summary, but never enter planning or hammering, so a campaign's
-// result is identical at any cache state.
-type SKUPrior struct {
-	// Campaigns counts finished campaigns of this SKU.
-	Campaigns int
-	// Templates counts distinct templates computed (cold misses).
-	Templates int
-	// TotalFlips sums the template flip inventories.
-	TotalFlips int64
-	// MaxArenaBytes is the largest module arena a campaign of this SKU
-	// materialized — the admission estimate for the next one.
-	MaxArenaBytes int64
-}
-
 // ProfileCache memoizes flip templates across campaigns, keyed on the
 // full module-plus-profiling identity, with single-flight deduplication
 // of concurrent misses, optional LRU bounding for long-lived daemons,
-// and advisory per-SKU priors. Safe for concurrent use and reusable
-// across Run invocations (a warm fleet).
+// and an advisory per-SKU arena high-water mark. Safe for concurrent
+// use and reusable across Run invocations (a warm fleet).
 //
 // Only template-computation outcomes are cached — success or error,
 // both deterministic functions of the key. Environmental failures
@@ -97,7 +81,12 @@ type ProfileCache struct {
 	recency    *list.List // completed entries, most recent at front
 	maxEntries int        // 0 = unbounded
 	evicted    int64
-	priors     map[skuKey]*SKUPrior
+	// maxArena is the largest module arena a finished campaign of each
+	// SKU materialized — the admission estimate for the next one. It is
+	// strictly advisory: it sizes admission reservations but never
+	// enters planning or hammering, so a campaign's result is identical
+	// at any cache state.
+	maxArena map[skuKey]int64
 }
 
 // NewProfileCache returns an empty, unbounded cache.
@@ -111,7 +100,7 @@ func NewProfileCache() *ProfileCache {
 // entries are never evicted. Eviction only trades memory for re-compute
 // work: a later campaign of an evicted identity re-templates and, by
 // the determinism invariant, reproduces the evicted profile bit for
-// bit. The advisory SKU priors are unaffected by eviction.
+// bit. The advisory per-SKU arena marks are unaffected by eviction.
 func NewProfileCacheSize(maxEntries int) *ProfileCache {
 	if maxEntries < 0 {
 		maxEntries = 0
@@ -120,7 +109,7 @@ func NewProfileCacheSize(maxEntries int) *ProfileCache {
 		entries:    make(map[profileKey]*cacheEntry),
 		recency:    list.New(),
 		maxEntries: maxEntries,
-		priors:     make(map[skuKey]*SKUPrior),
+		maxArena:   make(map[skuKey]int64),
 	}
 }
 
@@ -236,32 +225,18 @@ func (c *ProfileCache) Fingerprints() []string {
 	return out
 }
 
-// observe folds one finished campaign into its SKU prior.
-func (c *ProfileCache) observe(k skuKey, cold bool, flips int, arena int64) {
+// observe folds one finished campaign's arena high-water mark into its
+// SKU's.
+func (c *ProfileCache) observe(k skuKey, arena int64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	p := c.priors[k]
-	if p == nil {
-		p = &SKUPrior{}
-		c.priors[k] = p
-	}
-	p.Campaigns++
-	if cold {
-		p.Templates++
-		p.TotalFlips += int64(flips)
-	}
-	if arena > p.MaxArenaBytes {
-		p.MaxArenaBytes = arena
-	}
+	c.maxArena[k] = max(c.maxArena[k], arena)
+	c.mu.Unlock()
 }
 
-// Prior returns a copy of the SKU's accumulated prior (zero value when
-// the SKU has never run).
-func (c *ProfileCache) Prior(k skuKey) SKUPrior {
+// arenaPrior returns the SKU's arena high-water mark (0 when the SKU
+// has never run).
+func (c *ProfileCache) arenaPrior(k skuKey) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p := c.priors[k]; p != nil {
-		return *p
-	}
-	return SKUPrior{}
+	return c.maxArena[k]
 }

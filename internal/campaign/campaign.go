@@ -3,14 +3,15 @@
 // worker pool, pipelining each campaign's offline/template/plan/online
 // stages so the online phase of one overlaps the templating of the
 // next, deduplicating template work through a content-addressed profile
-// cache, and recycling module arenas and OS-simulation bookkeeping so
-// peak memory tracks concurrency instead of fleet size.
+// cache, and pooling whole simulated systems (module arenas plus
+// OS-simulation bookkeeping) so peak memory tracks concurrency instead
+// of fleet size.
 //
 // The engine's canonical execution of one campaign is two-staged:
-// template a pristine module of the campaign's identity, then rewind
-// the module to that same pristine identity and run the online attack
+// template a pristine System of the campaign's identity, then rewind
+// the System to that same pristine identity and run the online attack
 // with the template injected (core.OnlineConfig.Profile). Because the
-// online stage always starts from a pristine module and a finished
+// online stage always starts from a pristine System and a finished
 // template — whether the template was just computed or pulled from the
 // cache — results are byte-identical at any worker count and any cache
 // state. That invariant is what makes the cache sound, what lets a
@@ -129,7 +130,7 @@ type Result struct {
 	// deterministic at any worker count and any cache bound.
 	CacheHit bool
 	// ArenaBytes is the module arena high-water mark this campaign
-	// observed. Observational only: pooled modules keep their slabs, so
+	// observed. Observational only: pooled systems keep their slabs, so
 	// the value depends on scheduling.
 	ArenaBytes int64
 	// Online is the attack outcome (nil when Err is set).
@@ -208,25 +209,65 @@ type Config struct {
 	// have emitted, regardless of the live cache's current contents.
 	Hits []bool
 
-	// getModule, when non-nil, replaces the module pool's allocator —
+	// getSystem, when non-nil, replaces the system pool's allocator —
 	// a test seam for injecting transient allocation failures.
-	getModule func(g dram.Geometry, d dram.DeviceProfile, seed int64) (*dram.Module, error)
+	getSystem func(g dram.Geometry, d dram.DeviceProfile, seed int64) (*memsys.System, error)
 }
 
 // engine is the per-Run state.
 type engine struct {
 	cache *ProfileCache
-	pool  *dram.ModulePool
-	rec   *memsys.Recycler
+	pool  systemPool
 	adm   *byteSem
-	get   func(g dram.Geometry, d dram.DeviceProfile, seed int64) (*dram.Module, error)
+	get   func(g dram.Geometry, d dram.DeviceProfile, seed int64) (*memsys.System, error)
 }
 
-// templateJob profiles a pristine module of the job's identity and
-// returns the primed, shareable template. The module is left dirty;
-// callers rewind or recycle it.
-func templateJob(job Job, mod *dram.Module, rec *memsys.Recycler) (*profile.Profile, error) {
-	sys := systemFor(mod, rec)
+// systemPool recycles simulated systems across campaigns, keyed by
+// module geometry: get resets a pooled System to the wanted identity or
+// builds a fresh one, put returns a System for reuse. put never resets
+// — the caller may still read results — so get pays the O(pages)
+// rewind, far cheaper than faulting in fresh multi-MB slices per
+// campaign. Safe for concurrent use; the zero value is empty.
+type systemPool struct {
+	mu   sync.Mutex
+	free map[dram.Geometry][]*memsys.System
+}
+
+func (p *systemPool) get(geom dram.Geometry, device dram.DeviceProfile, seed int64) (*memsys.System, error) {
+	p.mu.Lock()
+	var sys *memsys.System
+	if list := p.free[geom]; len(list) > 0 {
+		sys = list[len(list)-1]
+		p.free[geom] = list[:len(list)-1]
+	}
+	p.mu.Unlock()
+	if sys != nil {
+		sys.Reset(device, seed)
+		return sys, nil
+	}
+	mod, err := dram.NewModule(geom, device, seed)
+	if err != nil {
+		return nil, err
+	}
+	return memsys.NewSystem(mod), nil
+}
+
+// put makes the System available for a future get. Its previous owner
+// must no longer use it.
+func (p *systemPool) put(sys *memsys.System) {
+	geom := sys.Module().Geometry()
+	p.mu.Lock()
+	if p.free == nil {
+		p.free = make(map[dram.Geometry][]*memsys.System)
+	}
+	p.free[geom] = append(p.free[geom], sys)
+	p.mu.Unlock()
+}
+
+// templateJob profiles a pristine System of the job's identity and
+// returns the primed, shareable template. The System is left dirty;
+// callers reset or pool it.
+func templateJob(job Job, sys *memsys.System) (*profile.Profile, error) {
 	sys.InjectFaults(job.Module.Fault)
 	attacker := sys.NewProcess()
 	base, err := attacker.Mmap(job.Online.BufferPages)
@@ -238,9 +279,6 @@ func templateJob(job Job, mod *dram.Module, rec *memsys.Recycler) (*profile.Prof
 		Intensity:   job.Online.Intensity,
 		MeasureSeed: job.Online.MeasureSeed,
 	})
-	if rec != nil {
-		sys.Recycle(rec)
-	}
 	if err != nil {
 		return nil, fmt.Errorf("campaign: templating: %w", err)
 	}
@@ -250,25 +288,13 @@ func templateJob(job Job, mod *dram.Module, rec *memsys.Recycler) (*profile.Prof
 	return prof, nil
 }
 
-// onlineJob runs the online attack on a pristine module with the
+// onlineJob runs the online attack on a pristine System with the
 // template injected.
-func onlineJob(job Job, mod *dram.Module, prof *profile.Profile, rec *memsys.Recycler) (*core.OnlineResult, error) {
-	sys := systemFor(mod, rec)
+func onlineJob(job Job, sys *memsys.System, prof *profile.Profile) (*core.OnlineResult, error) {
 	sys.InjectFaults(job.Module.Fault)
 	cfg := job.Online
 	cfg.Profile = prof
-	res, err := core.ExecuteOnline(sys, job.WeightFile, job.Reqs, cfg)
-	if rec != nil {
-		sys.Recycle(rec)
-	}
-	return res, err
-}
-
-func systemFor(mod *dram.Module, rec *memsys.Recycler) *memsys.System {
-	if rec != nil {
-		return rec.NewSystem(mod)
-	}
-	return memsys.NewSystem(mod)
+	return core.ExecuteOnline(sys, job.WeightFile, job.Reqs, cfg)
 }
 
 // Validate rejects jobs the engine cannot execute canonically, and
@@ -313,11 +339,12 @@ func (j Job) Validate() error {
 	return nil
 }
 
-// RunCampaign executes one campaign serially with no pooling or
-// caching — the canonical reference execution and the baseline the
-// fleet benchmark compares against. index becomes Result.Index, so the
-// serial and fleet paths emit identical metadata for the same job list.
-// Run produces byte-identical per-campaign results.
+// RunCampaign executes one campaign serially on one fresh System with
+// no pooling or caching — the canonical reference execution and the
+// baseline the fleet benchmark compares against. index becomes
+// Result.Index, so the serial and fleet paths emit identical metadata
+// for the same job list. Run produces byte-identical per-campaign
+// results.
 func RunCampaign(index int, job Job) Result {
 	r := Result{Index: index, Name: job.Name, SKU: job.Module.SKU()}
 	if err := job.Validate(); err != nil {
@@ -329,15 +356,16 @@ func RunCampaign(index int, job Job) Result {
 		r.Err = fmt.Errorf("campaign: module: %w", err)
 		return r
 	}
-	prof, err := templateJob(job, mod, nil)
+	sys := memsys.NewSystem(mod)
+	prof, err := templateJob(job, sys)
 	if err != nil {
 		r.Err = err
 		return r
 	}
 	// Rewind to the exact identity the template described; the online
-	// stage starts from a pristine module in both engines.
-	mod.Reset(job.Module.Device, job.Module.Seed)
-	r.Online, r.Err = onlineJob(job, mod, prof, nil)
+	// stage starts from a pristine System in both engines.
+	sys.Reset(job.Module.Device, job.Module.Seed)
+	r.Online, r.Err = onlineJob(job, sys, prof)
 	r.ArenaBytes = int64(mod.ArenaBytes())
 	return r
 }
@@ -375,7 +403,8 @@ func Run(jobs []Job, cfg Config) *Summary {
 // RunContext executes the fleet: every job, dispatched over cfg.Workers
 // worker goroutines with template/plan/online stages pipelined across
 // campaigns, template deduplication through the profile cache, pooled
-// module arenas, and admission control over estimated in-flight bytes.
+// simulated systems, and admission control over estimated in-flight
+// bytes.
 // Per-campaign results are byte-identical to RunCampaign at any worker
 // count and any cache state; only the observational fields (ArenaBytes,
 // PeakReservedBytes, stage timings) depend on scheduling.
@@ -400,13 +429,11 @@ func RunContext(ctx context.Context, jobs []Job, cfg Config) *Summary {
 	}
 	e := &engine{
 		cache: cache,
-		pool:  dram.NewModulePool(),
-		rec:   memsys.NewRecycler(),
 		adm:   newByteSem(cfg.MaxArenaBytes),
+		get:   cfg.getSystem,
 	}
-	e.get = cfg.getModule
 	if e.get == nil {
-		e.get = e.pool.Get
+		e.get = e.pool.get
 	}
 	if cfg.Indices != nil && len(cfg.Indices) != len(jobs) {
 		panic("campaign: len(Config.Indices) != len(jobs)")
@@ -502,7 +529,7 @@ func (e *engine) runJob(ctx context.Context, idx int, job Job, hit bool) (Result
 	defer e.adm.release(granted)
 
 	var prof *profile.Profile
-	var mod *dram.Module
+	var sys *memsys.System
 	for {
 		entry, leader := e.cache.begin(job.profileKey())
 		if leader {
@@ -513,7 +540,7 @@ func (e *engine) runJob(ctx context.Context, idx int, job Job, hit bool) (Result
 				r.Err = err
 				return r, false
 			}
-			mod, err = e.get(spec.geometry(), spec.Device, spec.Seed)
+			sys, err = e.get(spec.geometry(), spec.Device, spec.Seed)
 			if err != nil {
 				// Pre-template failure: environmental, not a function of the
 				// template key. Caching it would poison every future campaign
@@ -523,12 +550,12 @@ func (e *engine) runJob(ctx context.Context, idx int, job Job, hit bool) (Result
 				r.Err = fmt.Errorf("campaign: module: %w", err)
 				return r, true
 			}
-			prof, err = templateJob(job, mod, e.rec)
+			prof, err = templateJob(job, sys)
 			// The template computation's outcome — profile or error — is a
 			// deterministic function of the key: cache it either way.
 			e.cache.publish(entry, prof, err)
 			if err != nil {
-				e.pool.Put(mod)
+				e.pool.put(sys)
 				r.Err = err
 				return r, true
 			}
@@ -556,19 +583,19 @@ func (e *engine) runJob(ctx context.Context, idx int, job Job, hit bool) (Result
 		break
 	}
 
-	if mod != nil {
-		mod.Reset(spec.Device, spec.Seed)
+	if sys != nil {
+		sys.Reset(spec.Device, spec.Seed)
 	} else {
-		mod, err = e.get(spec.geometry(), spec.Device, spec.Seed)
+		sys, err = e.get(spec.geometry(), spec.Device, spec.Seed)
 		if err != nil {
 			r.Err = fmt.Errorf("campaign: module: %w", err)
 			return r, true
 		}
 	}
-	r.Online, r.Err = onlineJob(job, mod, prof, e.rec)
-	r.ArenaBytes = int64(mod.ArenaBytes())
-	e.pool.Put(mod)
-	e.cache.observe(job.skuKey(), !hit, prof.TotalFlips(), r.ArenaBytes)
+	r.Online, r.Err = onlineJob(job, sys, prof)
+	r.ArenaBytes = int64(sys.Module().ArenaBytes())
+	e.pool.put(sys)
+	e.cache.observe(job.skuKey(), r.ArenaBytes)
 	return r, true
 }
 
@@ -576,16 +603,13 @@ func (e *engine) runJob(ctx context.Context, idx int, job Job, hit bool) (Result
 // admission. Sparse modules materialize only pages the attack actually
 // dirties — roughly the flippy fraction of the templating buffer plus
 // the whole weight file — so the estimate is a fraction of the buffer
-// plus the file plus fixed slack for bookkeeping. The SKU prior's
-// observed high-water mark, when larger, replaces the guess: strictly
+// plus the file plus fixed slack for bookkeeping. The SKU's observed
+// arena high-water mark, when larger, replaces the guess: strictly
 // advisory, it only shapes admission order.
 func (e *engine) arenaEstimate(job Job) int64 {
 	est := int64(job.Online.BufferPages)*memsys.PageSize/8 +
 		int64(len(job.WeightFile)) + 1<<20
-	if p := e.cache.Prior(job.skuKey()); p.MaxArenaBytes > est {
-		est = p.MaxArenaBytes
-	}
-	return est
+	return max(est, e.cache.arenaPrior(job.skuKey()))
 }
 
 // Summarize assembles the canonical-order summary from per-campaign

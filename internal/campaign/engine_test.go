@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rowhammer/internal/dram"
+	"rowhammer/internal/memsys"
 )
 
 // TestTransientModuleFailureNotCached pins the cache-poisoning fix: a
@@ -29,16 +30,16 @@ func TestTransientModuleFailureNotCached(t *testing.T) {
 	scrub(want)
 
 	var calls atomic.Int64
-	pool := dram.NewModulePool()
+	var pool systemPool
 	cache := NewProfileCache()
 	sum := Run(jobs, Config{
 		Workers: 1, // deterministic: job 0 is the failing leader
 		Cache:   cache,
-		getModule: func(g dram.Geometry, d dram.DeviceProfile, seed int64) (*dram.Module, error) {
+		getSystem: func(g dram.Geometry, d dram.DeviceProfile, seed int64) (*memsys.System, error) {
 			if calls.Add(1) == 1 {
 				return nil, errors.New("injected ENOMEM")
 			}
-			return pool.Get(g, d, seed)
+			return pool.get(g, d, seed)
 		},
 	})
 	if sum.Failed != 1 {

@@ -10,33 +10,6 @@ import (
 	"rowhammer/internal/tensor"
 )
 
-// syntheticOnlineWorkload builds a page-aligned weight file and a set of
-// single-flip page requirements, deterministic in the given seed. The
-// requirement density (one flip on every eighth file page) matches what
-// CFT+BR emits for the reference models: single-bit flips spread across
-// distinct pages.
-func syntheticOnlineWorkload(filePages int, seed int64) ([]byte, []profile.PageRequirement) {
-	rng := tensor.NewRNG(seed)
-	file := make([]byte, filePages*memsys.PageSize)
-	for i := range file {
-		file[i] = byte(rng.Intn(256))
-	}
-	var reqs []profile.PageRequirement
-	for fp := 0; fp < filePages; fp += 8 {
-		off := rng.Intn(memsys.PageSize)
-		bit := rng.Intn(8)
-		dir := dram.ZeroToOne
-		if file[fp*memsys.PageSize+off]&(1<<bit) != 0 {
-			dir = dram.OneToZero
-		}
-		reqs = append(reqs, profile.PageRequirement{
-			FilePage: fp,
-			Flips:    []profile.CellFlip{{Offset: off, Bit: bit, Dir: dir}},
-		})
-	}
-	return file, reqs
-}
-
 // BenchmarkExecuteOnline measures the full online phase — SPOILER
 // verification, bank clustering, hammer templating of every row in both
 // polarities, placement planning, massaging, and the hammer/readback —
@@ -45,7 +18,7 @@ func syntheticOnlineWorkload(filePages int, seed int64) ([]byte, []profile.PageR
 // One op is one complete online attack against a fresh system.
 func BenchmarkExecuteOnline(b *testing.B) {
 	const filePages = 256
-	file, reqs := syntheticOnlineWorkload(filePages, 3)
+	file, reqs := profile.SyntheticWorkload(filePages, 3)
 
 	for _, bufPages := range []int{32768, 65536, 131072, 262144} {
 		for _, workers := range []int{1, 2, 4} {

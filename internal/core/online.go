@@ -4,14 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"rowhammer/internal/dram"
 	"rowhammer/internal/memsys"
 	"rowhammer/internal/metrics"
 	"rowhammer/internal/profile"
-	"rowhammer/internal/tensor"
 )
 
 // OnlineConfig parameterizes the online (hammering) phase.
@@ -430,11 +428,7 @@ func missingRows(pending []pendingFlip) []int {
 	return rows
 }
 
-// tally computes the online metrics from the observed corruption. The
-// byte-diff scan over the mapped file is embarrassingly parallel: each
-// worker tallies a disjoint range into private counters (reading the
-// shared required set, which is immutable by then), merged under one
-// lock at the chunk barrier.
+// tally computes the online metrics from the observed corruption.
 func (r *OnlineResult) tally(orig, corrupted []byte, reqs []profile.PageRequirement) {
 	required := make(map[[3]int]bool)
 	for _, req := range reqs {
@@ -444,45 +438,28 @@ func (r *OnlineResult) tally(orig, corrupted []byte, reqs []profile.PageRequirem
 		}
 	}
 	disturbedPages := make(map[int]bool)
-	workers := tensor.MaxWorkers()
-	if len(orig) < 1<<16 {
-		workers = 1
-	}
-	var mu sync.Mutex
-	tensor.ParallelChunks(len(orig), workers, func(lo, hi int) {
-		nFlip, nMatch, accidental := 0, 0, 0
-		pages := make(map[int]bool)
-		for i := lo; i < hi; i++ {
-			d := orig[i] ^ corrupted[i]
-			if d == 0 {
+	for i := range orig {
+		d := orig[i] ^ corrupted[i]
+		if d == 0 {
+			continue
+		}
+		page := i / memsys.PageSize
+		off := i % memsys.PageSize
+		// Any flipped bit — required or accidental — marks the page
+		// disturbed; δ averages over all of them.
+		disturbedPages[page] = true
+		for bit := 0; bit < 8; bit++ {
+			if d&(1<<bit) == 0 {
 				continue
 			}
-			page := i / memsys.PageSize
-			off := i % memsys.PageSize
-			// Any flipped bit — required or accidental — marks the page
-			// disturbed; δ averages over all of them.
-			pages[page] = true
-			for bit := 0; bit < 8; bit++ {
-				if d&(1<<bit) == 0 {
-					continue
-				}
-				nFlip++
-				if required[[3]int{page, off, bit}] {
-					nMatch++
-				} else {
-					accidental++
-				}
+			r.NFlipOnline++
+			if required[[3]int{page, off, bit}] {
+				r.NMatch++
+			} else {
+				r.AccidentalFlips++
 			}
 		}
-		mu.Lock()
-		r.NFlipOnline += nFlip
-		r.NMatch += nMatch
-		r.AccidentalFlips += accidental
-		for p := range pages {
-			disturbedPages[p] = true
-		}
-		mu.Unlock()
-	})
+	}
 	// δ: average accidental flips per disturbed target page (matched
 	// targets and collateral alike, per §V-B — not just pages that
 	// happened to take accidental flips, which would inflate δ and

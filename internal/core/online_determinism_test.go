@@ -8,6 +8,7 @@ import (
 
 	"rowhammer/internal/dram"
 	"rowhammer/internal/memsys"
+	"rowhammer/internal/profile"
 	"rowhammer/internal/tensor"
 )
 
@@ -20,7 +21,7 @@ func TestExecuteOnlineWorkerDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(prevProcs)
 
 	const filePages = 256
-	file, reqs := syntheticOnlineWorkload(filePages, 3)
+	file, reqs := profile.SyntheticWorkload(filePages, 3)
 	cfg := OnlineConfig{
 		BufferPages:    2048,
 		Sides:          2,

@@ -44,7 +44,7 @@ func retryConfig(rounds int) OnlineConfig {
 // non-decreasing, bigger budgets never do worse, and the fault-free
 // runs converge in one round regardless of budget.
 func TestRetryEngineMatrix(t *testing.T) {
-	file, reqs := syntheticOnlineWorkload(256, 3)
+	file, reqs := profile.SyntheticWorkload(256, 3)
 	for _, fail := range []float64{0, 0.3, 0.6} {
 		matchAt := map[int]int{}
 		for _, rounds := range []int{1, 3, 5} {
@@ -102,7 +102,7 @@ func TestRetryReportWorkerDeterminism(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prevProcs)
 
-	file, reqs := syntheticOnlineWorkload(256, 3)
+	file, reqs := profile.SyntheticWorkload(256, 3)
 	cfg := retryConfig(4)
 
 	run := func(workers int) *OnlineResult {
@@ -144,7 +144,7 @@ func TestRetryReportWorkerDeterminism(t *testing.T) {
 // must reproduce the single-shot engine byte for byte — round 1 fires
 // everything, so the retry machinery never touches memory.
 func TestZeroFaultRobustEqualsSingleShot(t *testing.T) {
-	file, reqs := syntheticOnlineWorkload(256, 3)
+	file, reqs := profile.SyntheticWorkload(256, 3)
 
 	single := retryConfig(0)
 	single.Escalation = 0
@@ -187,7 +187,7 @@ func TestZeroFaultRobustEqualsSingleShot(t *testing.T) {
 // plus re-templating passes that recover the flips faulty profiling
 // sweeps missed — brings r_match back above 95%.
 func TestRetryRecoversFromFlipFailures(t *testing.T) {
-	file, reqs := syntheticOnlineWorkload(256, 3)
+	file, reqs := profile.SyntheticWorkload(256, 3)
 	single := DefaultOnlineConfig(256)
 	single.MeasureSeed = 7
 	single.WeightFileName = "retry-weights.bin"
@@ -222,7 +222,7 @@ func TestRetryRecoversFromFlipFailures(t *testing.T) {
 // leaves requirements unmatched and check the engine grows the buffer,
 // re-plans, and records the passes.
 func TestAdaptiveRetemplating(t *testing.T) {
-	file, reqs := syntheticOnlineWorkload(64, 3)
+	file, reqs := profile.SyntheticWorkload(64, 3)
 	cfg := OnlineConfig{
 		// Too small for all 8 single-flip requirements to find hosts.
 		BufferPages:      256,
@@ -316,7 +316,7 @@ func TestTallyDeltaDenominator(t *testing.T) {
 // that instant — the last copy byte-identical to the final
 // CorruptedFile, and intermediate copies monotone in fired flips.
 func TestAfterRoundHook(t *testing.T) {
-	file, reqs := syntheticOnlineWorkload(256, 3)
+	file, reqs := profile.SyntheticWorkload(256, 3)
 	cfg := retryConfig(4)
 	var rounds []int
 	var snaps [][]byte
@@ -369,7 +369,7 @@ func TestAfterRoundHook(t *testing.T) {
 // TestUnmatchedPropagated: requirements the planner cannot place must
 // surface in OnlineResult.Unmatched instead of being silently dropped.
 func TestUnmatchedPropagated(t *testing.T) {
-	file, reqs := syntheticOnlineWorkload(64, 3)
+	file, reqs := profile.SyntheticWorkload(64, 3)
 	// An impossible requirement: three exact flips on one page has
 	// probability ≈3e-5 per Eq. 2 even at the paper's full scale.
 	reqs = append(reqs, profile.PageRequirement{

@@ -84,7 +84,7 @@ func templateOn(t *testing.T, sys *memsys.System, cfg OnlineConfig) *profile.Pro
 // profile cache rests on.
 func TestExecuteOnlineProfileReuseIdentity(t *testing.T) {
 	const filePages = 256
-	file, reqs := syntheticOnlineWorkload(filePages, 3)
+	file, reqs := profile.SyntheticWorkload(filePages, 3)
 	cfg := OnlineConfig{
 		BufferPages:    2048,
 		Sides:          2,

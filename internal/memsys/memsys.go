@@ -49,11 +49,10 @@ type System struct {
 	files    map[string]*cachedFile
 	fileList []*cachedFile // file ID → file, for page-table back-references
 
-	// rec is the optional slice recycler this System draws bookkeeping
-	// from; procs tracks processes so Recycle can harvest their page
-	// tables. Both stay nil for plain NewSystem systems.
-	rec   *Recycler
+	// procs are the processes created since the last Reset; Reset
+	// harvests their page tables into spare, which NewProcess reuses.
 	procs []*Process
+	spare [][]ptEntry
 }
 
 type cachedFile struct {
@@ -68,33 +67,53 @@ type cachedFile struct {
 // NewSystem wraps a DRAM module. Frames cover the module's full
 // capacity.
 func NewSystem(module *dram.Module) *System {
-	return buildSystem(module, nil)
-}
-
-func buildSystem(module *dram.Module, rec *Recycler) *System {
 	n := module.Size() / PageSize
-	words := (n + 63) / 64
 	s := &System{
 		module:  module,
 		nframes: n,
+		free:    make([]uint64, (n+63)/64),
 		files:   make(map[string]*cachedFile),
-		rec:     rec,
 	}
-	if rec != nil {
-		s.free = rec.getBitset(words)
+	s.freeAll()
+	return s
+}
+
+// Reset rewinds the System to the state
+// NewSystem(dram.NewModule(geom, profile, seed)) would produce, for the
+// module's own geometry: the module is reset (which also drops any
+// fault model), every frame is free again, and the frame cache and file
+// table are empty. The frame bitset and the page tables of the
+// processes created so far are kept and reinitialized on reuse — the
+// bitset is rewritten wholesale, a reused page table starts at length
+// zero and ensurePT initializes every entry it grows into — so a reset
+// System is observably identical to a fresh one. Processes created
+// before Reset must not be used afterwards.
+func (s *System) Reset(profile dram.DeviceProfile, seed int64) {
+	s.module.Reset(profile, seed)
+	s.freeAll()
+	s.frameCache = s.frameCache[:0]
+	clear(s.files)
+	clear(s.fileList)
+	s.fileList = s.fileList[:0]
+	for _, p := range s.procs {
+		s.spare = append(s.spare, p.pt[:0])
+		p.pt = nil
 	}
-	if s.free == nil {
-		s.free = make([]uint64, words)
-	}
+	clear(s.procs)
+	s.procs = s.procs[:0]
+}
+
+// freeAll marks every frame free.
+func (s *System) freeAll() {
 	for i := range s.free {
 		s.free[i] = ^uint64(0)
 	}
 	// Bits past nframes must stay clear or the word-wise scan would hand
 	// out phantom frames.
-	if r := n & 63; r != 0 {
+	if r := s.nframes & 63; r != 0 {
 		s.free[len(s.free)-1] = 1<<uint(r) - 1
 	}
-	return s
+	s.nextFree = 0
 }
 
 // Module exposes the backing DRAM (the hammering interface).
@@ -233,10 +252,11 @@ func (s *System) NewProcess() *Process {
 		sys:       s,
 		nextVPage: 0x1000, // arbitrary non-zero base
 	}
-	if s.rec != nil {
-		p.pt = s.rec.getPT()
-		s.procs = append(s.procs, p)
+	if n := len(s.spare); n > 0 {
+		p.pt = s.spare[n-1]
+		s.spare = s.spare[:n-1]
 	}
+	s.procs = append(s.procs, p)
 	return p
 }
 
