@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test-short test-race run-campaignd bench-kernels bench-eval bench-train bench-online bench-module bench-campaign bench-offline bench-serve check-bench vet loc
+.PHONY: build test-short test-race run-campaignd bench-kernels bench-eval bench-train bench-online bench-module bench-campaign bench-offline bench-serve check-bench vet loc golden
 
 build:
 	$(GO) build ./...
@@ -106,6 +106,17 @@ bench-serve:
 	$(GO) run ./cmd/benchjson -bench 'ServeQPS/serial|ServeQPS/batched|ServeFlipStorm' \
 		-pkg ./internal/serve -benchtime 2s \
 		-merge BENCH_serve_baseline.json -o BENCH_serve.json
+
+## golden: every byte-identity gate, checked without -update — the
+## trained-victim and gradient digests and the int8 golden logits
+## (internal/pretrain), the fleet digest (internal/campaign) and the
+## Table 2 QuickScale digest (internal/experiments), all against
+## testdata/golden/digests.txt. A refactor shows byte identity with this
+## one command (about 40 s on 2 vCPUs).
+golden:
+	$(GO) test -count=1 -run 'TestGoldenDigests|TestGoldenQuantForward' ./internal/pretrain
+	$(GO) test -count=1 -run TestGoldenFleetDigest ./internal/campaign
+	$(GO) test -count=1 -run TestTable2ResNet20 ./internal/experiments
 
 ## loc: the non-test Go line count (perfbench, a separate module,
 ## excluded) — the measure ROADMAP's line targets use.

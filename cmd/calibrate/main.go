@@ -47,10 +47,7 @@ func main() {
 		{3, 100, 50, 0.6, 0.03, 5, 32, true},
 	}
 	for _, tr := range trials {
-		m, err := pretrain.CloneModel(pcfg.Model, res.Model)
-		if err != nil {
-			panic(err)
-		}
+		m := res.Model.Clone()
 		cfg := core.DefaultConfig(tr.nflip, 2)
 		cfg.Eta = tr.eta
 		cfg.Iterations = tr.iters

@@ -49,10 +49,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	deployModel, err := pretrain.CloneModel(mcfg, trained.Model)
-	if err != nil {
-		return err
-	}
+	deployModel := trained.Model.Clone()
 	q := quant.NewQuantizer(deployModel)
 	weightFile := q.WeightFileBytes()
 	host.WriteFile("service/model.bin", weightFile)
@@ -61,10 +58,7 @@ func run() error {
 
 	// ---- The attacker tenant prepares offline. ----
 	fmt.Println("[attacker] offline: learning trigger + bit flips (CFT+BR)…")
-	attackModel, err := pretrain.CloneModel(mcfg, trained.Model)
-	if err != nil {
-		return err
-	}
+	attackModel := trained.Model.Clone()
 	acfg := core.DefaultConfig(5, 2)
 	acfg.Iterations = 100
 	acfg.BitReduceEvery = 50
@@ -89,10 +83,7 @@ func run() error {
 		onres.NMatch, onres.NRequired, onres.RMatch)
 
 	// ---- The victim service keeps serving… the backdoored weights. ----
-	serving, err := pretrain.CloneModel(mcfg, trained.Model)
-	if err != nil {
-		return err
-	}
+	serving := trained.Model.Clone()
 	qs := quant.NewQuantizer(serving)
 	qs.LoadWeightFileBytes(onres.CorruptedFile)
 	ta := metrics.TestAccuracy(serving, trained.Test)

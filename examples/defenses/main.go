@@ -35,10 +35,7 @@ func run() error {
 	fmt.Printf("victim clean accuracy: %.1f%%\n\n", 100*trained.Accuracy)
 
 	attack := func(forbidden byte, wrap func(func() float32) float32) (*core.Result, *quant.Quantizer, error) {
-		m, err := pretrain.CloneModel(mcfg, trained.Model)
-		if err != nil {
-			return nil, nil, err
-		}
+		m := trained.Model.Clone()
 		q := quant.NewQuantizer(m)
 		cfg := core.DefaultConfig(5, 2)
 		cfg.Iterations = 100
@@ -95,10 +92,7 @@ func run() error {
 	undo()
 	fmt.Printf("unaware attacker: ASR %.1f%% → %.1f%% after reconstruction\n", 100*before, 100*after)
 
-	awareModel, err := pretrain.CloneModel(mcfg, trained.Model)
-	if err != nil {
-		return err
-	}
+	awareModel := trained.Model.Clone()
 	qAware := quant.NewQuantizer(awareModel)
 	recAware := defense.NewReconstructor(awareModel, 64)
 	cfg := core.DefaultConfig(5, 2)

@@ -44,10 +44,7 @@ func victim(t *testing.T) *pretrain.Result {
 func clone(t *testing.T) *pretrain.Result {
 	t.Helper()
 	r := victim(t)
-	m, err := pretrain.CloneModel(victimCfg().Model, r.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := r.Model.Clone()
 	return &pretrain.Result{Model: m, Train: r.Train, Test: r.Test, Accuracy: r.Accuracy}
 }
 

@@ -16,19 +16,19 @@ type TBTConfig struct {
 	// WB is the number of last-layer weights the attack modifies (the
 	// "wb" parameter of Rakin et al.).
 	WB int
-	// TriggerIters is the number of FGSM steps of trigger generation.
-	TriggerIters int
 	// Epsilon is the FGSM step size for trigger generation.
 	Epsilon float32
 }
 
+// tbtTriggerIters is the number of FGSM steps of trigger generation.
+const tbtTriggerIters = 30
+
 // DefaultTBTConfig returns workable TBT settings.
 func DefaultTBTConfig(target int) TBTConfig {
 	return TBTConfig{
-		Config:       DefaultConfig(target),
-		WB:           20,
-		TriggerIters: 30,
-		Epsilon:      0.02,
+		Config:  DefaultConfig(target),
+		WB:      20,
+		Epsilon: 0.02,
 	}
 }
 
@@ -87,7 +87,7 @@ func TBT(model *nn.Model, attackSet *data.Dataset, cfg TBTConfig) (*core.Result,
 	}
 	trainer := nn.NewTrainer(model, nn.DefaultTrainShards)
 	trigImages := batch.Images.Clone()
-	for t := 0; t < cfg.TriggerIters; t++ {
+	for t := 0; t < tbtTriggerIters; t++ {
 		model.ZeroGrad()
 		copy(trigImages.Data(), batch.Images.Data())
 		trigger.Apply(trigImages)

@@ -97,10 +97,7 @@ func BenchmarkTrainStep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := pretrain.CloneModel(mcfg, res.Model)
-		if err != nil {
-			b.Fatal(err)
-		}
+		m := res.Model.Clone()
 		nn.FreezeBatchNorm(m.Root)
 		batch := res.Test.Head(32).Batches(32)[0]
 		trig := batch.Images.Clone()

@@ -33,10 +33,11 @@ func victimCfg() pretrain.Config {
 	}
 }
 
-// trainedVictim returns a freshly cloned trained model per call. Tests
-// that need it train a full (small) victim, so they are skipped under
-// -short; see EXPERIMENTS.md for the full-fat invocation.
-func trainedVictim(t *testing.T) (*pretrain.Result, *models.Config) {
+// trainedVictim returns the shared trained victim; tests clone its model
+// before attacking it. Tests that need it train a full (small) victim,
+// so they are skipped under -short; see EXPERIMENTS.md for the full-fat
+// invocation.
+func trainedVictim(t *testing.T) *pretrain.Result {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("heavy: trains a victim model; run without -short")
@@ -47,8 +48,7 @@ func trainedVictim(t *testing.T) (*pretrain.Result, *models.Config) {
 	if victimErr != nil {
 		t.Fatal(victimErr)
 	}
-	cfg := victimCfg().Model
-	return victimRes, &cfg
+	return victimRes
 }
 
 func TestGroupSortSelectConstraints(t *testing.T) {
@@ -130,11 +130,8 @@ func attackConfig(nflip int) Config {
 }
 
 func TestOfflineCFTBR(t *testing.T) {
-	res, mcfg := trainedVictim(t)
-	model, err := pretrain.CloneModel(*mcfg, res.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := trainedVictim(t)
+	model := res.Model.Clone()
 	q0 := quant.NewQuantizer(model) // establish page count
 	pages := q0.NumPages()
 	nflip := 5
@@ -187,11 +184,8 @@ func TestOfflineCFTBR(t *testing.T) {
 }
 
 func TestOfflineCFTWithoutBR(t *testing.T) {
-	res, mcfg := trainedVictim(t)
-	model, err := pretrain.CloneModel(*mcfg, res.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := trainedVictim(t)
+	model := res.Model.Clone()
 	cfg := attackConfig(5)
 	cfg.BitReduce = false
 	out, err := RunOffline(model, res.Test.Head(64), cfg)
@@ -225,8 +219,8 @@ func TestOfflineCFTWithoutBR(t *testing.T) {
 }
 
 func TestOfflineValidation(t *testing.T) {
-	res, mcfg := trainedVictim(t)
-	model, _ := pretrain.CloneModel(*mcfg, res.Model)
+	res := trainedVictim(t)
+	model := res.Model.Clone()
 	bad := attackConfig(5)
 	bad.Alpha = 2
 	if _, err := RunOffline(model, res.Test.Head(8), bad); err == nil {
@@ -249,11 +243,8 @@ func TestOfflineValidation(t *testing.T) {
 }
 
 func TestOnlineEndToEnd(t *testing.T) {
-	res, mcfg := trainedVictim(t)
-	model, err := pretrain.CloneModel(*mcfg, res.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := trainedVictim(t)
+	model := res.Model.Clone()
 	out, err := RunOffline(model, res.Test.Head(64), attackConfig(5))
 	if err != nil {
 		t.Fatal(err)
@@ -262,10 +253,7 @@ func TestOnlineEndToEnd(t *testing.T) {
 
 	weightFile := out.Quantizer.WeightFileBytes()
 	// Original (clean) file: rebuild from original codes.
-	cleanModel, err := pretrain.CloneModel(*mcfg, res.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cleanModel := res.Model.Clone()
 	qClean := quant.NewQuantizer(cleanModel)
 	cleanFile := qClean.WeightFileBytes()
 	_ = weightFile
@@ -300,10 +288,7 @@ func TestOnlineEndToEnd(t *testing.T) {
 
 	// Load the corrupted file into a fresh victim model and verify the
 	// backdoor behaves online as it did offline.
-	victimModel, err := pretrain.CloneModel(*mcfg, res.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	victimModel := res.Model.Clone()
 	qv := quant.NewQuantizer(victimModel)
 	qv.LoadWeightFileBytes(onres.CorruptedFile)
 	onlineASR := metrics.AttackSuccessRate(victimModel, res.Test, out.Trigger, 2)
@@ -331,19 +316,13 @@ func TestOnlineEndToEnd(t *testing.T) {
 // match rates while the 5-round verify/re-hammer engine recovers
 // r_match ≥ 95% on the same end-to-end attack.
 func TestOnlineEndToEndRobustUnderFaults(t *testing.T) {
-	res, mcfg := trainedVictim(t)
-	model, err := pretrain.CloneModel(*mcfg, res.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := trainedVictim(t)
+	model := res.Model.Clone()
 	out, err := RunOffline(model, res.Test.Head(64), attackConfig(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanModel, err := pretrain.CloneModel(*mcfg, res.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cleanModel := res.Model.Clone()
 	cleanFile := quant.NewQuantizer(cleanModel).WeightFileBytes()
 	reqs := RequirementsFromCodes(out.OrigCodes, out.BackdooredCodes)
 
@@ -389,12 +368,9 @@ func TestExecuteOnlineValidation(t *testing.T) {
 // same flip budget discipline and TA/ASR within the quantization-noise
 // tolerance of each other on both evaluation engines.
 func TestOfflineQuantVsFloatEval(t *testing.T) {
-	res, mcfg := trainedVictim(t)
+	res := trainedVictim(t)
 	run := func(float32Eval bool) (*Result, *nn.Model) {
-		model, err := pretrain.CloneModel(*mcfg, res.Model)
-		if err != nil {
-			t.Fatal(err)
-		}
+		model := res.Model.Clone()
 		pages := quant.NewQuantizer(model).NumPages()
 		nflip := 5
 		if nflip > pages {

@@ -37,8 +37,6 @@ type Config struct {
 	// attack is the CFT ablation: one weight per page, but a weight
 	// change may span multiple bits.
 	BitReduce bool
-	// UpdateTrigger enables the FGSM trigger learning (step 1).
-	UpdateTrigger bool
 	// TriggerSize is the square trigger mask edge (10 on CIFAR-scale
 	// inputs in the paper).
 	TriggerSize int
@@ -88,7 +86,6 @@ func DefaultConfig(nflip, target int) Config {
 		Iterations:       300,
 		BitReduceEvery:   100,
 		BitReduce:        true,
-		UpdateTrigger:    true,
 		TriggerSize:      10,
 		GreedyRefine:     true,
 		RefineCandidates: 3,
@@ -292,10 +289,8 @@ func RunOffline(model *nn.Model, attackSet *data.Dataset, cfg Config) (*Result, 
 
 		// Step 1: FGSM trigger update (Eq. 4), descending the triggered
 		// loss so the trigger activates the target class.
-		if cfg.UpdateTrigger {
-			tg := trigger.MaskedGradSum(inGrad)
-			trigger.UpdateFGSM(tg, -cfg.Epsilon)
-		}
+		tg := trigger.MaskedGradSum(inGrad)
+		trigger.UpdateFGSM(tg, -cfg.Epsilon)
 
 		// Step 2: locate vulnerable weights (Eq. 5).
 		flatAbsGrad(params, absGrad)

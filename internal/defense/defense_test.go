@@ -46,11 +46,7 @@ func victim(t *testing.T) *pretrain.Result {
 
 func cloneModel(t *testing.T) *nn.Model {
 	t.Helper()
-	m, err := pretrain.CloneModel(victimCfg().Model, victim(t).Model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return victim(t).Model.Clone()
 }
 
 func TestAnalyzeBinarizationShrinksPages(t *testing.T) {

@@ -7,17 +7,18 @@ import (
 
 // PWCConfig parameterizes piecewise weight clustering fine-tuning.
 type PWCConfig struct {
-	// Lambda weighs the clustering penalty against the task loss.
-	Lambda float32
 	// Iterations and LR drive the fine-tuning SGD.
 	Iterations int
 	LR         float32
 	BatchSize  int
 }
 
+// pwcLambda weighs the clustering penalty against the task loss.
+const pwcLambda = 0.02
+
 // DefaultPWCConfig returns workable PWC settings.
 func DefaultPWCConfig() PWCConfig {
-	return PWCConfig{Lambda: 0.02, Iterations: 40, LR: 0.01, BatchSize: 32}
+	return PWCConfig{Iterations: 40, LR: 0.01, BatchSize: 32}
 }
 
 // PWCFineTune retrains the model with the piecewise weight clustering
@@ -34,7 +35,7 @@ func PWCFineTune(m *nn.Model, train *data.Dataset, cfg PWCConfig) {
 		out := m.Forward(b.Images, true)
 		_, grad := nn.CrossEntropy(out, b.Labels, 1)
 		m.Backward(grad)
-		addPWCGrad(m, cfg.Lambda)
+		addPWCGrad(m, pwcLambda)
 		opt.Step()
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"rowhammer/internal/metrics"
 	"rowhammer/internal/models"
 	"rowhammer/internal/nn"
-	"rowhammer/internal/pretrain"
 	"rowhammer/internal/quant"
 	"rowhammer/internal/voltsim"
 )
@@ -28,18 +27,15 @@ type BinarizationReport struct {
 // shrunken flip budget.
 func DefenseBinarization(s Scale) (*BinarizationReport, error) {
 	// Train the binarized victim.
-	binRes, binCfg, err := victimArch("bin-resnet32", s)
+	binRes, err := victim("bin-resnet32", s)
 	if err != nil {
 		return nil, err
 	}
-	fullRes, _, err := victim("resnet32", s)
+	fullRes, err := victim("resnet32", s)
 	if err != nil {
 		return nil, err
 	}
-	model, err := pretrain.CloneModel(binCfg, binRes.Model)
-	if err != nil {
-		return nil, err
-	}
+	model := binRes.Model.Clone()
 	binParams := defense.CountBinarizableParams(model.Root, func(l nn.Layer) (int, bool) {
 		if bc, ok := l.(*models.BinConv2D); ok {
 			return bc.Params()[0].W.Len(), true
@@ -88,14 +84,11 @@ func DefensePWC(s Scale, arch string) (*PWCReport, error) {
 	if arch == "" {
 		arch = "resnet32"
 	}
-	res, mcfg, err := victim(arch, s)
+	res, err := victim(arch, s)
 	if err != nil {
 		return nil, err
 	}
-	model, err := pretrain.CloneModel(mcfg, res.Model)
-	if err != nil {
-		return nil, err
-	}
+	model := res.Model.Clone()
 	rep := &PWCReport{ClusterBefore: defense.ClusteringScore(model)}
 	pwcCfg := defense.DefaultPWCConfig()
 	pwcCfg.Iterations = s.Epochs * 10
@@ -126,14 +119,11 @@ func DefenseDeepDyve(s Scale, arch string) (*DeepDyveExperimentReport, error) {
 	if arch == "" {
 		arch = "resnet20"
 	}
-	res, mcfg, err := victim(arch, s)
+	res, err := victim(arch, s)
 	if err != nil {
 		return nil, err
 	}
-	backdoored, err := pretrain.CloneModel(mcfg, res.Model)
-	if err != nil {
-		return nil, err
-	}
+	backdoored := res.Model.Clone()
 	q := quant.NewQuantizer(backdoored)
 	cfg := attackConfig(s, defaultNFlip(q.NumPages()), true)
 	out, err := core.RunOffline(backdoored, res.Test.Head(s.AttackImages), cfg)
@@ -143,7 +133,7 @@ func DefenseDeepDyve(s Scale, arch string) (*DeepDyveExperimentReport, error) {
 	// Checker: a smaller clean model trained on the same task.
 	checkerScale := s
 	checkerScale.Seed++
-	checkerRes, _, err := victim(arch, checkerScale)
+	checkerRes, err := victim(arch, checkerScale)
 	if err != nil {
 		return nil, err
 	}
@@ -170,14 +160,11 @@ func DefenseEncoding(s Scale, arch string) (*EncodingReport, error) {
 	if arch == "" {
 		arch = "resnet20"
 	}
-	res, mcfg, err := victim(arch, s)
+	res, err := victim(arch, s)
 	if err != nil {
 		return nil, err
 	}
-	model, err := pretrain.CloneModel(mcfg, res.Model)
-	if err != nil {
-		return nil, err
-	}
+	model := res.Model.Clone()
 	q := quant.NewQuantizer(model)
 	codes := q.Codes()
 
@@ -229,16 +216,13 @@ func DefenseRADAR(s Scale, arch string) (*RADARReport, error) {
 	if arch == "" {
 		arch = "resnet20"
 	}
-	res, mcfg, err := victim(arch, s)
+	res, err := victim(arch, s)
 	if err != nil {
 		return nil, err
 	}
 
 	run := func(forbidden byte) (*core.Result, *quant.Quantizer, error) {
-		model, err := pretrain.CloneModel(mcfg, res.Model)
-		if err != nil {
-			return nil, nil, err
-		}
+		model := res.Model.Clone()
 		q := quant.NewQuantizer(model)
 		cfg := attackConfig(s, defaultNFlip(q.NumPages()), true)
 		cfg.ForbiddenBitMask = forbidden
@@ -291,17 +275,14 @@ func DefenseReconstruction(s Scale, arch string) (*ReconstructionReport, error) 
 	if arch == "" {
 		arch = "resnet32"
 	}
-	res, mcfg, err := victim(arch, s)
+	res, err := victim(arch, s)
 	if err != nil {
 		return nil, err
 	}
 	rep := &ReconstructionReport{ReconGroupWords: 64}
 
 	// Scenario 1: unaware attacker.
-	m1, err := pretrain.CloneModel(mcfg, res.Model)
-	if err != nil {
-		return nil, err
-	}
+	m1 := res.Model.Clone()
 	rec1 := defense.NewReconstructor(m1, rep.ReconGroupWords)
 	q1 := quant.NewQuantizer(m1)
 	cfg := attackConfig(s, defaultNFlip(q1.NumPages()), true)
@@ -318,10 +299,7 @@ func DefenseReconstruction(s Scale, arch string) (*ReconstructionReport, error) 
 	undo()
 
 	// Scenario 2: defense-aware attacker optimizes under reconstruction.
-	m2, err := pretrain.CloneModel(mcfg, res.Model)
-	if err != nil {
-		return nil, err
-	}
+	m2 := res.Model.Clone()
 	rec2 := defense.NewReconstructor(m2, rep.ReconGroupWords)
 	q2 := quant.NewQuantizer(m2)
 	cfg2 := attackConfig(s, defaultNFlip(q2.NumPages()), true)
@@ -361,10 +339,4 @@ func Plundervolt(seed int64) *PlundervoltReport {
 	}
 	rep.QuantizedMACFaults = voltsim.QuantizedMACSweep(cpu, weights, acts)
 	return rep
-}
-
-// victimArch is like victim but keeps the architecture free-form (the
-// binarized models live under their own registry names).
-func victimArch(arch string, s Scale) (*pretrain.Result, models.Config, error) {
-	return victim(arch, s)
 }

@@ -80,7 +80,7 @@ func PaperScale() Scale {
 
 // victim trains (or fetches the cached) clean model for an architecture
 // on the matching synthetic task.
-func victim(arch string, s Scale) (*pretrain.Result, models.Config, error) {
+func victim(arch string, s Scale) (*pretrain.Result, error) {
 	// The synthetic task is fixed (seed 21) so different Scale seeds
 	// compare models, not datasets.
 	const taskSeed = 21
@@ -92,9 +92,8 @@ func victim(arch string, s Scale) (*pretrain.Result, models.Config, error) {
 		classes = 100
 		dcfg = data.SynthImageNet(0, taskSeed)
 	}
-	mcfg := models.Config{Arch: arch, Classes: classes, WidthMult: s.WidthMult, Seed: s.Seed}
 	res, err := pretrain.TrainCached(pretrain.Config{
-		Model:        mcfg,
+		Model:        models.Config{Arch: arch, Classes: classes, WidthMult: s.WidthMult, Seed: s.Seed},
 		Data:         dcfg,
 		TrainSamples: s.TrainSamples,
 		TestSamples:  s.TestSamples,
@@ -103,9 +102,9 @@ func victim(arch string, s Scale) (*pretrain.Result, models.Config, error) {
 		Seed:         s.Seed,
 	})
 	if err != nil {
-		return nil, mcfg, fmt.Errorf("experiments: train %s: %w", arch, err)
+		return nil, fmt.Errorf("experiments: train %s: %w", arch, err)
 	}
-	return res, mcfg, nil
+	return res, nil
 }
 
 // attackConfig maps a Scale onto the Algorithm 1 configuration.

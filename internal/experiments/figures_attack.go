@@ -4,7 +4,6 @@ import (
 	"rowhammer/internal/core"
 	"rowhammer/internal/defense"
 	"rowhammer/internal/metrics"
-	"rowhammer/internal/pretrain"
 	"rowhammer/internal/quant"
 )
 
@@ -24,14 +23,11 @@ func Figure7(s Scale, arch string) (*Figure7Report, error) {
 	if arch == "" {
 		arch = "resnet20"
 	}
-	res, mcfg, err := victim(arch, s)
+	res, err := victim(arch, s)
 	if err != nil {
 		return nil, err
 	}
-	model, err := pretrain.CloneModel(mcfg, res.Model)
-	if err != nil {
-		return nil, err
-	}
+	model := res.Model.Clone()
 	q := quant.NewQuantizer(model)
 	cfg := attackConfig(s, defaultNFlip(q.NumPages()), true)
 	out, err := core.RunOffline(model, res.Test.Head(s.AttackImages), cfg)
@@ -70,18 +66,12 @@ func Figure8(s Scale, arch string, samples int) (*Figure8Report, error) {
 	if arch == "" {
 		arch = "resnet20"
 	}
-	res, mcfg, err := victim(arch, s)
+	res, err := victim(arch, s)
 	if err != nil {
 		return nil, err
 	}
-	clean, err := pretrain.CloneModel(mcfg, res.Model)
-	if err != nil {
-		return nil, err
-	}
-	backdoored, err := pretrain.CloneModel(mcfg, res.Model)
-	if err != nil {
-		return nil, err
-	}
+	clean := res.Model.Clone()
+	backdoored := res.Model.Clone()
 	q := quant.NewQuantizer(backdoored)
 	cfg := attackConfig(s, defaultNFlip(q.NumPages()), true)
 	out, err := core.RunOffline(backdoored, res.Test.Head(s.AttackImages), cfg)
@@ -116,16 +106,16 @@ func Figure13(s Scale, arch string) (*Figure13Report, error) {
 	if arch == "" {
 		arch = "resnet20"
 	}
-	res, mcfg, err := victim(arch, s)
+	res, err := victim(arch, s)
 	if err != nil {
 		return nil, err
 	}
 
-	cftbr, err := runMethod(MethodCFTBR, res, mcfg, s)
+	cftbr, err := runMethod(MethodCFTBR, res, s)
 	if err != nil {
 		return nil, err
 	}
-	tbt, err := runMethod(MethodTBT, res, mcfg, s)
+	tbt, err := runMethod(MethodTBT, res, s)
 	if err != nil {
 		return nil, err
 	}

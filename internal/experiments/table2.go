@@ -8,7 +8,6 @@ import (
 	"rowhammer/internal/dram"
 	"rowhammer/internal/memsys"
 	"rowhammer/internal/metrics"
-	"rowhammer/internal/models"
 	"rowhammer/internal/pretrain"
 	"rowhammer/internal/profile"
 	"rowhammer/internal/quant"
@@ -59,11 +58,8 @@ func (r Table2Row) String() string {
 
 // runMethod executes one offline attack against a fresh clone of the
 // victim.
-func runMethod(method string, res *pretrain.Result, mcfg models.Config, s Scale) (*core.Result, error) {
-	model, err := pretrain.CloneModel(mcfg, res.Model)
-	if err != nil {
-		return nil, err
-	}
+func runMethod(method string, res *pretrain.Result, s Scale) (*core.Result, error) {
+	model := res.Model.Clone()
 	attackSet := res.Test.Head(s.AttackImages)
 
 	switch method {
@@ -109,12 +105,12 @@ func defaultNFlip(pages int) int {
 func Table2(s Scale, archs []string) ([]Table2Row, error) {
 	var rows []Table2Row
 	for _, arch := range archs {
-		res, mcfg, err := victim(arch, s)
+		res, err := victim(arch, s)
 		if err != nil {
 			return nil, err
 		}
 		for _, method := range AllMethods() {
-			row, err := table2Cell(arch, method, res, mcfg, s)
+			row, err := table2Cell(arch, method, res, s)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s/%s: %w", arch, method, err)
 			}
@@ -125,8 +121,8 @@ func Table2(s Scale, archs []string) ([]Table2Row, error) {
 }
 
 // table2Cell runs one (arch, method) offline+online experiment.
-func table2Cell(arch, method string, res *pretrain.Result, mcfg models.Config, s Scale) (*Table2Row, error) {
-	off, err := runMethod(method, res, mcfg, s)
+func table2Cell(arch, method string, res *pretrain.Result, s Scale) (*Table2Row, error) {
+	off, err := runMethod(method, res, s)
 	if err != nil {
 		return nil, err
 	}
@@ -162,10 +158,7 @@ func table2Cell(arch, method string, res *pretrain.Result, mcfg models.Config, s
 	}
 	sys := memsys.NewSystem(mod)
 
-	cleanModel, err := pretrain.CloneModel(mcfg, res.Model)
-	if err != nil {
-		return nil, err
-	}
+	cleanModel := res.Model.Clone()
 	qClean := quant.NewQuantizer(cleanModel)
 	cleanFile := qClean.WeightFileBytes()
 
@@ -187,10 +180,7 @@ func table2Cell(arch, method string, res *pretrain.Result, mcfg models.Config, s
 
 	// Load the corrupted file into a fresh victim and measure online
 	// behavior.
-	victimModel, err := pretrain.CloneModel(mcfg, res.Model)
-	if err != nil {
-		return nil, err
-	}
+	victimModel := res.Model.Clone()
 	qv := quant.NewQuantizer(victimModel)
 	qv.LoadWeightFileBytes(onres.CorruptedFile)
 	row.Online = PhaseMetrics{

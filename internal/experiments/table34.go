@@ -6,7 +6,6 @@ import (
 	"rowhammer/internal/baselines"
 	"rowhammer/internal/core"
 	"rowhammer/internal/metrics"
-	"rowhammer/internal/pretrain"
 	"rowhammer/internal/quant"
 )
 
@@ -26,14 +25,11 @@ func Table3(s Scale, archs []string) ([]Table3Row, error) {
 	}
 	var rows []Table3Row
 	for _, arch := range archs {
-		res, mcfg, err := victim(arch, s)
+		res, err := victim(arch, s)
 		if err != nil {
 			return nil, err
 		}
-		model, err := pretrain.CloneModel(mcfg, res.Model)
-		if err != nil {
-			return nil, err
-		}
+		model := res.Model.Clone()
 		q := quant.NewQuantizer(model)
 		cfg := attackConfig(s, defaultNFlip(q.NumPages()), true)
 		out, err := core.RunOffline(model, res.Test.Head(s.AttackImages), cfg)
@@ -68,14 +64,11 @@ func Table4(s Scale, arch string) ([]Table4Row, error) {
 	if arch == "" {
 		arch = "resnet20"
 	}
-	res, mcfg, err := victim(arch, s)
+	res, err := victim(arch, s)
 	if err != nil {
 		return nil, err
 	}
-	model, err := pretrain.CloneModel(mcfg, res.Model)
-	if err != nil {
-		return nil, err
-	}
+	model := res.Model.Clone()
 	cfg := baselines.DefaultConfig(s.TargetClass)
 	cfg.Iterations = s.BaselineIterations
 	cfg.LR = s.BaselineLR / 5

@@ -129,23 +129,3 @@ func TestCloneCopiesBatchNormState(t *testing.T) {
 		t.Fatal("clone shares running-stat storage with the original")
 	}
 }
-
-func TestCloneWeightsToRoundTripsIntoClone(t *testing.T) {
-	m := cloneTestModel(35)
-	c := m.Clone()
-	// Drift the clone, then copy the master's weights back over it.
-	for _, p := range c.Params() {
-		p.W.Data()[0] = 99
-	}
-	if err := m.CloneWeightsTo(c); err != nil {
-		t.Fatal(err)
-	}
-	pa, pb := m.Params(), c.Params()
-	for i := range pa {
-		for j := range pa[i].W.Data() {
-			if pa[i].W.Data()[j] != pb[i].W.Data()[j] {
-				t.Fatalf("param %q differs after CloneWeightsTo", pa[i].Name)
-			}
-		}
-	}
-}

@@ -180,18 +180,3 @@ func (m *Model) LoadFlatParams(flat []float32) error {
 	}
 	return nil
 }
-
-// CloneWeightsTo copies parameter values into dst, which must have an
-// identical parameter structure.
-func (m *Model) CloneWeightsTo(dst *Model) error {
-	if len(m.params) != len(dst.params) {
-		return fmt.Errorf("nn: parameter count mismatch %d vs %d", len(m.params), len(dst.params))
-	}
-	for i, p := range m.params {
-		if p.W.Len() != dst.params[i].W.Len() {
-			return fmt.Errorf("nn: parameter %q size mismatch", p.Name)
-		}
-		copy(dst.params[i].W.Data(), p.W.Data())
-	}
-	return nil
-}

@@ -26,16 +26,20 @@ type Config struct {
 	// TrainSamples and TestSamples size the splits.
 	TrainSamples int
 	TestSamples  int
-	// Epochs, BatchSize, LR, Momentum, WeightDecay are the optimizer
-	// settings.
-	Epochs      int
-	BatchSize   int
-	LR          float32
-	Momentum    float32
-	WeightDecay float32
+	// Epochs, BatchSize and LR are the optimizer settings.
+	Epochs    int
+	BatchSize int
+	LR        float32
 	// Seed drives sampling and shuffling.
 	Seed int64
 }
+
+// The SGD settings every victim trains with: classical momentum, and no
+// weight decay (the short synthetic-task runs converge without it).
+const (
+	momentum    = 0.9
+	weightDecay = 0
+)
 
 // Defaults fills unset fields with workable values.
 func (c Config) Defaults() Config {
@@ -53,9 +57,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.LR == 0 {
 		c.LR = 0.05
-	}
-	if c.Momentum == 0 {
-		c.Momentum = 0.9
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -90,7 +91,7 @@ func Train(cfg Config) (*Result, error) {
 	dcfg.Samples = cfg.TestSamples
 	test := data.Synthesize(dcfg, cfg.Seed+2000)
 
-	opt := nn.NewSGD(m.Params(), cfg.LR, cfg.Momentum, cfg.WeightDecay)
+	opt := nn.NewSGD(m.Params(), cfg.LR, momentum, weightDecay)
 	rng := tensor.NewRNG(cfg.Seed)
 	// Victim training runs on the trainer, which reproduces the
 	// monolithic gradient exactly.
@@ -128,7 +129,7 @@ var (
 
 // TrainCached returns a shared Result for the config, training at most
 // once per unique configuration. Callers must not mutate the returned
-// model; clone it first (see CloneModel).
+// model; clone it first (nn.Model.Clone).
 func TrainCached(cfg Config) (*Result, error) {
 	cfg = cfg.Defaults()
 	key := fmt.Sprintf("%+v", cfg)
@@ -145,39 +146,9 @@ func TrainCached(cfg Config) (*Result, error) {
 	return r, nil
 }
 
-// CloneModel builds a fresh instance of the same architecture and copies
-// the trained weights and batch-norm running statistics into it.
-func CloneModel(cfg models.Config, src *nn.Model) (*nn.Model, error) {
-	dst, err := models.Build(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := src.CloneWeightsTo(dst); err != nil {
-		return nil, err
-	}
-	copyRunningStats(src.Root, dst.Root)
-	return dst, nil
-}
-
-// copyRunningStats mirrors batch-norm running statistics between two
-// structurally identical graphs.
-func copyRunningStats(src, dst nn.Layer) {
-	var srcBNs, dstBNs []*nn.BatchNorm2D
-	nn.Walk(src, func(l nn.Layer) {
-		if bn, ok := l.(*nn.BatchNorm2D); ok {
-			srcBNs = append(srcBNs, bn)
-		}
-	})
-	nn.Walk(dst, func(l nn.Layer) {
-		if bn, ok := l.(*nn.BatchNorm2D); ok {
-			dstBNs = append(dstBNs, bn)
-		}
-	})
-	for i := range srcBNs {
-		if i >= len(dstBNs) {
-			break
-		}
-		copy(dstBNs[i].RunningMean, srcBNs[i].RunningMean)
-		copy(dstBNs[i].RunningVar, srcBNs[i].RunningVar)
-	}
+// CloneModel returns src.Clone(). It keeps its config argument and error
+// result only because the benchmark harness (perfbench, a separate module)
+// calls it with that signature; new code calls nn.Model.Clone directly.
+func CloneModel(_ models.Config, src *nn.Model) (*nn.Model, error) {
+	return src.Clone(), nil
 }

@@ -1,11 +1,15 @@
 package pretrain
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"rowhammer/internal/data"
 	"rowhammer/internal/metrics"
 	"rowhammer/internal/models"
+	"rowhammer/internal/nn"
+	"rowhammer/internal/quant"
 )
 
 func smallCfg() Config {
@@ -61,9 +65,33 @@ func TestCloneModelPreservesBehavior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Clone matches a rebuild-and-copy only while the source is neither
+	// frozen nor tapped in place: a trained victim must be neither.
+	nn.Walk(r.Model.Root, func(l nn.Layer) {
+		switch l := l.(type) {
+		case *nn.BatchNorm2D:
+			if l.Frozen {
+				t.Fatal("cached victim has a frozen batch-norm layer")
+			}
+		case *nn.Tap:
+			t.Fatal("cached victim holds a Tap layer")
+		}
+	})
 	clone, err := CloneModel(cfg.Model, r.Model)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(quant.NewQuantizer(clone).WeightFileBytes(), quant.NewQuantizer(r.Model).WeightFileBytes()) {
+		t.Fatal("clone's weight file differs from the source's")
+	}
+	srcBNs, cloneBNs := batchNorms(r.Model), batchNorms(clone)
+	if len(srcBNs) == 0 || len(srcBNs) != len(cloneBNs) {
+		t.Fatalf("batch-norm layers: source %d, clone %d", len(srcBNs), len(cloneBNs))
+	}
+	for i, bn := range srcBNs {
+		if !slices.Equal(bn.RunningMean, cloneBNs[i].RunningMean) || !slices.Equal(bn.RunningVar, cloneBNs[i].RunningVar) {
+			t.Fatalf("batch-norm %d: clone's running statistics differ from the source's", i)
+		}
 	}
 	accOrig := metrics.TestAccuracy(r.Model, r.Test)
 	accClone := metrics.TestAccuracy(clone, r.Test)
@@ -75,6 +103,16 @@ func TestCloneModelPreservesBehavior(t *testing.T) {
 	if r.Model.Params()[0].W.Data()[0] == clone.Params()[0].W.Data()[0] {
 		t.Fatal("clone shares weight storage")
 	}
+}
+
+func batchNorms(m *nn.Model) []*nn.BatchNorm2D {
+	var bns []*nn.BatchNorm2D
+	nn.Walk(m.Root, func(l nn.Layer) {
+		if bn, ok := l.(*nn.BatchNorm2D); ok {
+			bns = append(bns, bn)
+		}
+	})
+	return bns
 }
 
 func TestTrainInvalidModel(t *testing.T) {

@@ -2,11 +2,11 @@ package quant
 
 import "testing"
 
-// TestFlipBitThenCloneWeightsTo pins the interaction the trainer's
-// resync path relies on: after the quantizer mutates master weights via
-// FlipBit, CloneWeightsTo must carry the mutated values into a
-// structural clone exactly.
-func TestFlipBitThenCloneWeightsTo(t *testing.T) {
+// TestFlipBitThenClone pins the interaction every attack copy relies on:
+// after the quantizer mutates master weights via FlipBit, Model.Clone
+// must carry the mutated values into the copy exactly. (The trainer's
+// replicas resync from the master through replica.syncFrom.)
+func TestFlipBitThenClone(t *testing.T) {
 	m := toyModel(5)
 	q := NewQuantizer(m)
 	orig := q.Codes()
@@ -25,23 +25,12 @@ func TestFlipBitThenCloneWeightsTo(t *testing.T) {
 	}
 
 	dst := m.Clone()
-	// Scramble the clone so a silent no-op copy can't pass.
-	for _, p := range dst.Params() {
-		d := p.W.Data()
-		for i := range d {
-			d[i] = -1
-		}
-	}
-	if err := m.CloneWeightsTo(dst); err != nil {
-		t.Fatal(err)
-	}
-
 	mp, dp := m.Params(), dst.Params()
 	for i := range mp {
 		md, dd := mp[i].W.Data(), dp[i].W.Data()
 		for j := range md {
 			if md[j] != dd[j] {
-				t.Fatalf("param %q[%d]: %v != %v after roundtrip", mp[i].Name, j, dd[j], md[j])
+				t.Fatalf("param %q[%d]: %v != %v in the clone", mp[i].Name, j, dd[j], md[j])
 			}
 		}
 	}

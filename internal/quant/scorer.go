@@ -176,11 +176,6 @@ func (s *Scorer) Loss() float32 {
 	return s.baseLoss
 }
 
-// Score evaluates every candidate's blended loss. See ScoreInto.
-func (s *Scorer) Score(cands []Candidate) ([]float32, float32) {
-	return s.ScoreInto(nil, cands)
-}
-
 // ScoreInto evaluates the blended objective with each candidate applied
 // in isolation (all other codes at their current values), writing the
 // losses into dst (grown as needed) in candidate order, and returns the

@@ -88,7 +88,7 @@ func TestScorerMatchesFullForward(t *testing.T) {
 	}
 	wantBase := full()
 
-	got, base := s.Score(cands)
+	got, base := s.ScoreInto(nil, cands)
 	if base != wantBase {
 		t.Fatalf("base loss %v, want %v", base, wantBase)
 	}
@@ -120,10 +120,10 @@ func TestScorerWorkerDeterminism(t *testing.T) {
 		old := q.Code(wi)
 		cands = append(cands, Candidate{Weight: wi, Code: int8(byte(old) ^ 0x80)})
 	}
-	ref, refBase := s.Score(cands)
+	ref, refBase := s.ScoreInto(nil, cands)
 	for _, w := range []int{2, 4} {
 		tensor.SetMaxWorkers(w)
-		got, base := s.Score(cands)
+		got, base := s.ScoreInto(nil, cands)
 		if base != refBase {
 			t.Fatalf("workers=%d: base %v, want %v", w, base, refBase)
 		}
@@ -198,7 +198,7 @@ func TestScorerFallbackArch(t *testing.T) {
 		want[i] = full()
 		q.SetCode(c.Weight, old)
 	}
-	got, _ := s.Score(cands)
+	got, _ := s.ScoreInto(nil, cands)
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("candidate %d: scorer %v, want %v", i, got[i], want[i])
@@ -239,9 +239,9 @@ func BenchmarkScorer(b *testing.B) {
 	// deep layers).
 	wi := q.NumWeights() - 1
 	cands := []Candidate{{Weight: wi, Code: int8(byte(q.Code(wi)) ^ 0x80)}}
-	s.Score(cands) // warm the cache
+	s.ScoreInto(nil, cands) // warm the cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Score(cands)
+		s.ScoreInto(nil, cands)
 	}
 }

@@ -26,13 +26,6 @@ type FireConfig struct {
 	// trigger (default 0.5) — the attacker exercising the backdoor
 	// while ordinary traffic continues.
 	TriggerFraction float64
-	// DetectThreshold is the alarm-rate excess over the pre-attack
-	// baseline that counts as detection (default 0.05).
-	DetectThreshold float64
-	// SwapStallNs is the virtual executor stall charged per hot-swap
-	// publish in the window's load simulation (default 2ms — the
-	// full-file repack pause).
-	SwapStallNs int64
 	// Sim is the per-window virtual load model; Seed is derived per
 	// window from FireConfig.Seed.
 	Sim SimConfig
@@ -44,18 +37,21 @@ type FireConfig struct {
 	LiveClients int
 }
 
+const (
+	// detectThreshold is the alarm-rate excess over the pre-attack
+	// baseline that counts as detection.
+	detectThreshold = 0.05
+	// swapStallNs is the virtual executor stall charged per hot-swap
+	// publish in a window's load simulation: the full-file repack pause.
+	swapStallNs = 2_000_000
+)
+
 func (c FireConfig) withDefaults() FireConfig {
 	if c.ReplayQueries <= 0 {
 		c.ReplayQueries = 256
 	}
 	if c.TriggerFraction <= 0 {
 		c.TriggerFraction = 0.5
-	}
-	if c.DetectThreshold <= 0 {
-		c.DetectThreshold = 0.05
-	}
-	if c.SwapStallNs <= 0 {
-		c.SwapStallNs = 2_000_000
 	}
 	return c
 }
@@ -97,7 +93,7 @@ type ServeReport struct {
 	// false-positive floor on this victim/checker pair.
 	BaselineAlarmRate float64
 	// Detected is true when some post-attack window's alarm rate
-	// exceeded the baseline by DetectThreshold.
+	// exceeded the baseline by detectThreshold.
 	Detected bool
 	// DetectionWindow is the first such window (-1 when undetected).
 	DetectionWindow int
@@ -168,7 +164,7 @@ func RunUnderFire(f Fire, attack func(apply func(round int, mapped []byte)) erro
 		w.EpochSeq = f.Engine.EpochSeq()
 		sim := cfg.Sim
 		sim.Seed = cfg.Seed + int64(window)*7919
-		sim.StallNs = int64(swaps) * cfg.SwapStallNs
+		sim.StallNs = int64(swaps) * swapStallNs
 		sr := Simulate(sim)
 		w.SimQPS = sr.QPS
 		w.SimP50Ns = sr.P50Ns
@@ -221,7 +217,7 @@ func RunUnderFire(f Fire, attack func(apply func(round int, mapped []byte)) erro
 
 	rep.BaselineAlarmRate = rep.Windows[0].AlarmRate
 	for _, w := range rep.Windows[1:] {
-		if w.AlarmRate > rep.BaselineAlarmRate+cfg.DetectThreshold {
+		if w.AlarmRate > rep.BaselineAlarmRate+detectThreshold {
 			rep.Detected = true
 			rep.DetectionWindow = w.Window
 			rep.DetectionLagQueries = w.Window * cfg.ReplayQueries

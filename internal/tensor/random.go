@@ -23,17 +23,11 @@ func (r *RNG) Float64() float64 { return r.src.Float64() }
 // Intn returns a uniform integer in [0, n).
 func (r *RNG) Intn(n int) int { return r.src.Intn(n) }
 
-// Int63 returns a uniform non-negative 63-bit integer.
-func (r *RNG) Int63() int64 { return r.src.Int63() }
-
 // NormFloat64 returns a standard normal sample.
 func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
 
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
-
-// Shuffle randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 
 // FillNormal fills t with N(mean, std²) samples.
 func (r *RNG) FillNormal(t *Tensor, mean, std float64) {

@@ -25,7 +25,6 @@ type Trigger = data.Trigger
 // deployment the attacker targets.
 type Victim struct {
 	result *pretrain.Result
-	cfg    models.Config
 	dcfg   data.SynthConfig
 	epochs int
 	seed   int64
@@ -71,9 +70,8 @@ func TrainVictim(cfg VictimConfig) (*Victim, error) {
 			dcfg = data.SynthImageNet(0, cfg.Seed)
 		}
 	}
-	mcfg := models.Config{Arch: cfg.Arch, Classes: classes, WidthMult: cfg.WidthMult, Seed: cfg.Seed}
 	res, err := pretrain.TrainCached(pretrain.Config{
-		Model:        mcfg,
+		Model:        models.Config{Arch: cfg.Arch, Classes: classes, WidthMult: cfg.WidthMult, Seed: cfg.Seed},
 		Data:         dcfg,
 		TrainSamples: cfg.TrainSamples,
 		TestSamples:  cfg.TestSamples,
@@ -83,7 +81,7 @@ func TrainVictim(cfg VictimConfig) (*Victim, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Victim{result: res, cfg: mcfg, dcfg: dcfg, epochs: cfg.Epochs, seed: cfg.Seed}, nil
+	return &Victim{result: res, dcfg: dcfg, epochs: cfg.Epochs, seed: cfg.Seed}, nil
 }
 
 // CleanAccuracy returns the victim's clean test accuracy.
@@ -137,10 +135,7 @@ func (o *Offline) checkVictim(v *Victim) error {
 // InjectBackdoor runs Algorithm 1 (CFT+BR) against a fresh clone of the
 // victim and returns the flip set and trigger.
 func InjectBackdoor(v *Victim, cfg AttackConfig) (*Offline, error) {
-	model, err := pretrain.CloneModel(v.cfg, v.result.Model)
-	if err != nil {
-		return nil, err
-	}
+	model := v.result.Model.Clone()
 	nflip := cfg.NFlip
 	if nflip == 0 {
 		nflip = v.WeightFilePages() / 7
@@ -292,10 +287,7 @@ func attackInputs(v *Victim, off *Offline) ([]byte, []profile.PageRequirement, e
 	if err := off.checkVictim(v); err != nil {
 		return nil, nil, err
 	}
-	clean, err := pretrain.CloneModel(v.cfg, v.result.Model)
-	if err != nil {
-		return nil, nil, err
-	}
+	clean := v.result.Model.Clone()
 	file := quant.NewQuantizer(clean).WeightFileBytes()
 	return file, core.RequirementsFromCodes(off.inner.OrigCodes, off.inner.BackdooredCodes), nil
 }
@@ -371,10 +363,7 @@ func Evaluate(v *Victim, off *Offline, on *Online) (*Report, error) {
 	if err := off.checkVictim(v); err != nil {
 		return nil, err
 	}
-	victimModel, err := pretrain.CloneModel(v.cfg, v.result.Model)
-	if err != nil {
-		return nil, err
-	}
+	victimModel := v.result.Model.Clone()
 	qv := quant.NewQuantizer(victimModel)
 	if n, want := len(on.inner.CorruptedFile), qv.NumPages()*quant.PageSize; n != want {
 		return nil, fmt.Errorf("rowhammer: online result holds a %d-byte weight file, the victim's is %d bytes", n, want)
@@ -420,10 +409,6 @@ type ServeOptions struct {
 	// Seed fixes the replay and simulated-arrival streams (default:
 	// the hardware seed).
 	Seed int64
-	// CheckerSeed seeds the DeepDyve checker's training (default:
-	// victim seed + 1000). The checker is a resnet20 trained on the
-	// victim's task, served int8 like the victim.
-	CheckerSeed int64
 }
 
 // ServeWindow is one window of the attack-under-load timeline: window 0
@@ -470,6 +455,11 @@ type ServeTimeline struct {
 	LiveMeanBatch float64
 }
 
+// checkerSeedOffset separates the DeepDyve checker's training seed from
+// the victim's: the checker is a resnet20 trained on the victim's task
+// with seed victim+1000, served int8 like the victim.
+const checkerSeedOffset = 1000
+
 // ServeUnderFire runs the online attack against a victim that keeps
 // serving: the weight file is hammered round by round, each round's
 // partially corrupted file is hot-swapped into the live int8 engine
@@ -484,17 +474,13 @@ func ServeUnderFire(v *Victim, off *Offline, hw HardwareConfig, opts ServeOption
 
 	// The serving victim: a fresh clone quantized to the clean
 	// deployment, served through the int8 epoch engine.
-	servingModel, err := pretrain.CloneModel(v.cfg, v.result.Model)
-	if err != nil {
-		return nil, err
-	}
-	engine := quant.NewQModel(quant.NewQuantizer(servingModel))
+	engine := quant.NewQModel(quant.NewQuantizer(v.result.Model.Clone()))
 
 	// The DeepDyve checker: a small model trained on the same task with
 	// a different seed, served int8 so the whole protocol runs on
 	// concurrency-safe engines.
-	checkerSeed := cmp.Or(opts.CheckerSeed, v.seed+1000)
-	checkerCfg := models.Config{Arch: "resnet20", Classes: v.cfg.Classes, WidthMult: 0.25, Seed: checkerSeed}
+	checkerSeed := v.seed + checkerSeedOffset
+	checkerCfg := models.Config{Arch: "resnet20", Classes: v.result.Model.Classes, WidthMult: 0.25, Seed: checkerSeed}
 	checkerRes, err := pretrain.TrainCached(pretrain.Config{
 		Model:  checkerCfg,
 		Data:   v.dcfg,
@@ -504,11 +490,7 @@ func ServeUnderFire(v *Victim, off *Offline, hw HardwareConfig, opts ServeOption
 	if err != nil {
 		return nil, fmt.Errorf("rowhammer: training checker: %w", err)
 	}
-	checkerModel, err := pretrain.CloneModel(checkerCfg, checkerRes.Model)
-	if err != nil {
-		return nil, err
-	}
-	checker := quant.NewQModel(quant.NewQuantizer(checkerModel))
+	checker := quant.NewQModel(quant.NewQuantizer(checkerRes.Model.Clone()))
 
 	fire := serve.Fire{
 		Engine:  engine,
