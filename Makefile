@@ -56,7 +56,8 @@ bench-train:
 
 ## bench-online: online templating-engine benchmarks — the full
 ## ExecuteOnline buffer-size sweep (32768 → 262144 pages at 1/2/4
-## workers) plus the profiling, faulty re-sweep (ReprofileUnion at 1/2
+## workers, and the warm faulty A2 online stage at 1/2 workers) plus the
+## profiling, faulty re-sweep (ReprofileUnion at 1/2
 ## workers), placement, flip-index build and side-channel micro
 ## benchmarks — merged with the committed
 ## pre-optimization baseline (BENCH_online_baseline.json, *PrePR

@@ -155,6 +155,11 @@ type OnlineResult struct {
 	Report *AttackReport
 }
 
+// replaySweep answers a re-templating pass that certainly replays the
+// template (profile.ReplaySweep). A variable so tests can force the
+// sweep it stands for, or watch which passes it answers.
+var replaySweep = profile.ReplaySweep
+
 // pendingFlip is one matched-requirement flip the verify loop still
 // waits on: where to look in the victim's mapping and which row to
 // re-hammer if it has not fired.
@@ -239,7 +244,7 @@ func ExecuteOnline(sys *memsys.System, weightFile []byte, reqs []profile.PageReq
 	bufPages := cfg.BufferPages
 	for pass := 1; len(plan.Unmatched) > 0 && pass <= cfg.RetemplatePasses; pass++ {
 		t0 = time.Now()
-		grew := false
+		grew, replayed := false, false
 		if bufPages*2 <= maxBuf {
 			ext := bufPages
 			extBase, merr := attacker.Mmap(ext)
@@ -254,17 +259,35 @@ func ExecuteOnline(sys *memsys.System, weightFile []byte, reqs []profile.PageReq
 			}
 		}
 		if !grew {
-			if _, err := profile.ReprofileUnion(sys, attacker, prof, pcfg); err != nil {
-				return nil, fmt.Errorf("core: re-templating pass %d: %w", pass, err)
+			// A re-sweep that certainly replays the template adds no flip
+			// and leaves the plan as it is, so it is answered by advancing
+			// the pass counters alone wherever skipping it cannot show.
+			// Its fills and flips would touch only the buffer's experiment
+			// rows, since no cell fires at single-sided disturbance, and a
+			// later pass rewrites every one of them: the plan still leaves
+			// requirements unmatched, nothing before the next pass
+			// allocates a frame, so no later pass can grow, and the last
+			// pass never replays.
+			if pass < cfg.RetemplatePasses && !sys.Module().SingleSidedCanFire() {
+				if replayed, err = replaySweep(sys, attacker, prof, pcfg); err != nil {
+					return nil, fmt.Errorf("core: re-templating pass %d: %w", pass, err)
+				}
+			}
+			if !replayed {
+				if _, err := profile.ReprofileUnion(sys, attacker, prof, pcfg); err != nil {
+					return nil, fmt.Errorf("core: re-templating pass %d: %w", pass, err)
+				}
 			}
 		}
 		report.Timing.RetemplateNs += time.Since(t0).Nanoseconds()
 
-		t0 = time.Now()
-		plan, err = profile.PlanPlacement(prof, reqs, filePages)
-		report.Timing.PlanNs += time.Since(t0).Nanoseconds()
-		if err != nil {
-			return nil, fmt.Errorf("core: re-placement: %w", err)
+		if !replayed {
+			t0 = time.Now()
+			plan, err = profile.PlanPlacement(prof, reqs, filePages)
+			report.Timing.PlanNs += time.Since(t0).Nanoseconds()
+			if err != nil {
+				return nil, fmt.Errorf("core: re-placement: %w", err)
+			}
 		}
 		report.Retemplates = append(report.Retemplates, RetemplateStats{
 			Pass:         pass,

@@ -54,6 +54,21 @@ func (m *Module) SetFaultModel(f FaultModel) {
 	}
 }
 
+// PassesUntouched reports whether every pass counter still reads 0: no
+// hammer has disturbed a row under a fault model since NewModule or
+// Reset. A templating sweep started in that state draws exactly the
+// coins any other sweep started in it draws.
+func (m *Module) PassesUntouched() bool { return !m.passesAdvanced.Load() }
+
+// PassCount returns how many disturbance passes the row has taken
+// under a fault model.
+func (m *Module) PassCount(bank, row int) uint64 {
+	if m.passes == nil {
+		return 0
+	}
+	return m.passes[bank*m.geom.RowsPerBank+row].Load()
+}
+
 // FaultModelInstalled returns the active fault model (zero value when
 // none).
 func (m *Module) FaultModelInstalled() FaultModel { return m.fault }

@@ -76,6 +76,9 @@ type Module struct {
 	// the weak table, for the counter-based fault streams. Allocated
 	// when a fault model is first enabled, dropped by Reset.
 	passes []atomic.Uint64
+	// passesAdvanced is set by the first counter advance after
+	// NewModule or Reset (see PassesUntouched).
+	passesAdvanced atomic.Bool
 }
 
 // weakCacheLimit bounds the memoized weak-cell rows: at the densest
@@ -156,6 +159,9 @@ func (m *Module) Geometry() Geometry { return m.geom }
 
 // Profile returns the device profile.
 func (m *Module) Profile() DeviceProfile { return m.profile }
+
+// Seed returns the seed that fixes the vulnerable-cell layout.
+func (m *Module) Seed() int64 { return m.seed }
 
 // Size returns the capacity in bytes.
 func (m *Module) Size() int { return m.geom.Size() }
@@ -437,11 +443,31 @@ func (m *Module) HammerQuiet(bank int, aggressorRows []int, intensity float64) {
 	m.hammer(bank, aggressorRows, intensity, nil)
 }
 
-// hammer is the shared hammer core. Victim discovery uses small sorted
-// stack scratch instead of maps: candidate victims (aggressor neighbors)
-// are collected, sorted, and merged so a row sandwiched by two
-// aggressors accumulates 0.5 disturbance from each.
+// hammer is the shared hammer core: disturb walks the victims and
+// fireCells flips the cells each one's disturbance reaches.
 func (m *Module) hammer(bank int, aggressorRows []int, intensity float64, events *[]FlipEvent) {
+	m.disturb(bank, aggressorRows, intensity, func(victim int, eff float64, pass uint64) {
+		m.fireCells(bank, victim, eff, pass, events)
+	})
+}
+
+// AdvancePasses advances the fault pass counters exactly as
+// Hammer(bank, aggressorRows, intensity) would, without reading or
+// writing memory or generating any cell list: the counter-only walk
+// that stands in for a hammer whose flips are already known.
+func (m *Module) AdvancePasses(bank int, aggressorRows []int, intensity float64) {
+	m.disturb(bank, aggressorRows, intensity, nil)
+}
+
+// disturb is the victim-and-disturbance walk every hammer shares, and
+// the one place the pass-counter rule lives. Victim discovery uses
+// small sorted stack scratch instead of maps: candidate victims
+// (aggressor neighbors) are collected, sorted, and merged so a row
+// sandwiched by two aggressors accumulates 0.5 disturbance from each.
+// Under a fault model every victim with positive disturbance advances
+// its pass counter; fire (nil for a counter-only walk) is then called
+// with the jittered disturbance of each victim that could fire a cell.
+func (m *Module) disturb(bank int, aggressorRows []int, intensity float64, fire func(victim int, eff float64, pass uint64)) {
 	if intensity <= 0 || len(aggressorRows) == 0 {
 		return
 	}
@@ -481,65 +507,94 @@ func (m *Module) hammer(bank int, aggressorRows []int, intensity float64, events
 		if eff <= 0 {
 			continue
 		}
-		// Sub-threshold hammers cannot fire any cell (thresholds start at
-		// weakThresholdFloor), so skip the victim without generating its
-		// cell list. Gated on !faulty: the fault model's pass counters and
-		// jitter draws must advance exactly as before.
-		if !faulty && eff < weakThresholdFloor {
-			continue
-		}
-		// Fault injection: advance the row's pass counter and apply the
-		// per-pass TRR-escape jitter. Both draws come from finalized
-		// counter-based streams (fault.go), so they are pure functions of
-		// (seed, bank, row, pass) and independent of scheduling.
+		// Fault injection: advance the row's pass counter. Every draw of
+		// the pass comes from finalized counter-based streams (fault.go),
+		// so it is a pure function of (seed, bank, row, pass) and
+		// independent of scheduling.
 		var pass uint64
 		if faulty {
 			pass = m.passes[bank*m.geom.RowsPerBank+victim].Add(1) - 1
-			if jit := m.fault.TRRJitter; jit > 0 {
-				u := faultUniform(m.fault.Seed, bank, victim, pass, -1)
-				eff *= 1 + jit*(2*u-1)
-				if eff <= 0 {
-					continue
-				}
+			if !m.passesAdvanced.Load() {
+				m.passesAdvanced.Store(true)
 			}
 		}
-		base := m.geom.RowBaseAddr(bank, victim)
-		// Copy-on-hammer: the victim row's two pages stay in constant
-		// state until a cell actually changes a bit. Reads against a
-		// constant page decode the fill byte in place; the first real flip
-		// materializes that half into the arena.
-		var halves [2][]byte
-		for _, cell := range m.weakCells(bank, victim) {
-			if cell.Threshold > eff {
+		// A victim that cannot reach weakThresholdFloor fires no cell, so
+		// skip it without generating its cell list. The counter above has
+		// already advanced and the cell coins are drawn only after the
+		// threshold test, so the skip changes no draw.
+		if fire == nil || !m.canFire(eff) {
+			continue
+		}
+		// Per-pass TRR-escape jitter.
+		if jit := m.fault.TRRJitter; jit > 0 {
+			u := faultUniform(m.fault.Seed, bank, victim, pass, -1)
+			eff *= 1 + jit*(2*u-1)
+			if eff <= 0 {
 				continue
 			}
-			if faulty && m.fault.FlipFailProb > 0 &&
-				faultUniform(m.fault.Seed, bank, victim, pass, int(cell.BitInRow)) < m.fault.FlipFailProb {
-				continue // this pass failed to fire the cell; retry next pass
-			}
-			byteOff := int(cell.BitInRow) / 8
-			bit := int(cell.BitInRow) % 8
-			h := byteOff >> pageShift
-			page := (base >> pageShift) + h
-			var cur byte
-			if halves[h] != nil {
-				cur = halves[h][byteOff&pageMask]
-			} else if s := m.store.state[page]; s < 0 {
-				cur = decodeConst(s)
-			} else {
-				halves[h] = m.store.pageBytes(s)
-				cur = halves[h][byteOff&pageMask]
-			}
-			if (cur&(1<<bit) != 0) == (FlipDirection(cell.Dir) == ZeroToOne) {
-				continue // bit already sits in the cell's target state
-			}
-			if halves[h] == nil {
-				halves[h] = m.store.materialize(page)
-			}
-			halves[h][byteOff&pageMask] ^= 1 << bit
-			if events != nil {
-				*events = append(*events, FlipEvent{Addr: base + byteOff, Bit: bit, Dir: FlipDirection(cell.Dir)})
-			}
+		}
+		fire(victim, eff, pass)
+	}
+}
+
+// canFire reports whether a victim at pre-jitter disturbance eff can
+// fire any cell. Thresholds start at weakThresholdFloor and the jitter
+// scales eff by 1 + TRRJitter·(2u−1) ≤ 1 + TRRJitter, a bound rounding
+// keeps (every step is monotone), so below it no cell fires whatever
+// the draw. Without a positive jitter this is eff ≥ weakThresholdFloor.
+func (m *Module) canFire(eff float64) bool {
+	jit := 0.0
+	if m.fault.TRRJitter > 0 {
+		jit = m.fault.TRRJitter
+	}
+	return eff*(1+jit) >= weakThresholdFloor
+}
+
+// SingleSidedCanFire reports whether a row next to one aggressor alone
+// can fire a cell under the installed fault model. Its disturbance is
+// at most 0.5, below the 0.55 threshold floor unless TRRJitter exceeds
+// 0.1, so hammering can then flip rows outside any planned sandwich.
+func (m *Module) SingleSidedCanFire() bool { return m.canFire(0.5) }
+
+// fireCells flips every weak cell of the victim row whose threshold eff
+// reaches, unless the fault model's per-pass coin fails it, and logs
+// each flip when events is non-nil. Copy-on-hammer: the victim row's
+// two pages stay in constant state until a cell actually changes a bit.
+// Reads against a constant page decode the fill byte in place; the
+// first real flip materializes that half into the arena.
+func (m *Module) fireCells(bank, victim int, eff float64, pass uint64, events *[]FlipEvent) {
+	base := m.geom.RowBaseAddr(bank, victim)
+	failProb := m.fault.FlipFailProb
+	var halves [2][]byte
+	for _, cell := range m.weakCells(bank, victim) {
+		if cell.Threshold > eff {
+			continue
+		}
+		if failProb > 0 && faultUniform(m.fault.Seed, bank, victim, pass, int(cell.BitInRow)) < failProb {
+			continue // this pass failed to fire the cell; retry next pass
+		}
+		byteOff := int(cell.BitInRow) / 8
+		bit := int(cell.BitInRow) % 8
+		h := byteOff >> pageShift
+		page := (base >> pageShift) + h
+		var cur byte
+		if halves[h] != nil {
+			cur = halves[h][byteOff&pageMask]
+		} else if s := m.store.state[page]; s < 0 {
+			cur = decodeConst(s)
+		} else {
+			halves[h] = m.store.pageBytes(s)
+			cur = halves[h][byteOff&pageMask]
+		}
+		if (cur&(1<<bit) != 0) == (FlipDirection(cell.Dir) == ZeroToOne) {
+			continue // bit already sits in the cell's target state
+		}
+		if halves[h] == nil {
+			halves[h] = m.store.materialize(page)
+		}
+		halves[h][byteOff&pageMask] ^= 1 << bit
+		if events != nil {
+			*events = append(*events, FlipEvent{Addr: base + byteOff, Bit: bit, Dir: FlipDirection(cell.Dir)})
 		}
 	}
 }

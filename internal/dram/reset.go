@@ -21,6 +21,7 @@ func (m *Module) Reset(profile DeviceProfile, seed int64) {
 	m.seed = seed
 	m.weak.Store(newWeakTable(m.geom))
 	m.passes = nil
+	m.passesAdvanced.Store(false)
 	m.fault = FaultModel{}
 	m.store.reset()
 }

@@ -75,6 +75,25 @@ type Profile struct {
 	// rows appended by adaptive re-templating are indexed incrementally
 	// on the next buildFlipIndex call.
 	indexedRows int
+	// origin is where the profile came from when it is the unmodified
+	// result of one ProfileBuffer sweep started on untouched pass
+	// counters, nil otherwise (see ReplaySweep).
+	origin *sweepOrigin
+}
+
+// sweepOrigin is the state a templating sweep's result is a pure
+// function of, beyond the buffer's mapping: the module identity, its
+// fault model and the sweep configuration, with every pass counter at 0.
+type sweepOrigin struct {
+	geom   dram.Geometry
+	device dram.DeviceProfile
+	seed   int64
+	fault  dram.FaultModel
+	cfg    Config
+}
+
+func originOf(m *dram.Module, cfg Config) sweepOrigin {
+	return sweepOrigin{m.Geometry(), m.Profile(), m.Seed(), m.FaultModelInstalled(), cfg}
 }
 
 // PrimeIndex builds the inverted flip inventory eagerly. A profile
@@ -96,6 +115,7 @@ func (p *Profile) Clone() *Profile {
 		Rows:          make([]VictimRow, len(p.Rows)),
 		aggressorBits: append([]uint64(nil), p.aggressorBits...),
 		victimIdx:     append([]int32(nil), p.victimIdx...),
+		origin:        p.origin,
 	}
 	for i := range p.Rows {
 		r := p.Rows[i]
@@ -166,6 +186,11 @@ func ProfileBuffer(sys *memsys.System, attacker *memsys.Process, bufBase, bufPag
 	if bufPages%2 != 0 {
 		return nil, fmt.Errorf("profile: buffer must be a whole number of 8KB rows")
 	}
+	var origin *sweepOrigin
+	if mod := sys.Module(); mod.PassesUntouched() {
+		o := originOf(mod, cfg)
+		origin = &o
+	}
 	meas := sidechan.NewMeasurer(sys, cfg.MeasureSeed)
 
 	// SPOILER resolves contiguity at a 256-page (1 MB) alias period;
@@ -200,6 +225,7 @@ func ProfileBuffer(sys *memsys.System, attacker *memsys.Process, bufBase, bufPag
 	p := &Profile{
 		BufBase:  bufBase,
 		BufPages: bufPages,
+		origin:   origin,
 	}
 	p.ensurePages(bufPages)
 
@@ -469,30 +495,38 @@ func runExperiment(sys *memsys.System, attacker *memsys.Process, bufBase int, cl
 // hammerRowsInto is the scratch-buffer core of HammerRows: rowBuf is
 // reused across calls so the hot loop performs no allocation.
 func hammerRowsInto(sys *memsys.System, p *memsys.Process, aggressorVaddrs []int, intensity float64, rowBuf *[]int) error {
+	bank, err := aggressorRowsInto(sys, p, aggressorVaddrs, rowBuf)
+	if err != nil {
+		return err
+	}
+	sys.Module().HammerQuiet(bank, *rowBuf, intensity)
+	return nil
+}
+
+// aggressorRowsInto translates page-aligned aggressor addresses into
+// their DRAM rows, stored in the reused *rowBuf, and returns the bank
+// they all share.
+func aggressorRowsInto(sys *memsys.System, p *memsys.Process, aggressorVaddrs []int, rowBuf *[]int) (int, error) {
 	if len(aggressorVaddrs) == 0 {
-		return fmt.Errorf("profile: no aggressor rows")
+		return 0, fmt.Errorf("profile: no aggressor rows")
 	}
 	geom := sys.Module().Geometry()
 	bank := -1
-	rows := (*rowBuf)[:0]
+	*rowBuf = (*rowBuf)[:0]
 	for _, va := range aggressorVaddrs {
 		phys, err := p.Translate(va)
 		if err != nil {
-			*rowBuf = rows
-			return fmt.Errorf("profile: aggressor translate: %w", err)
+			return 0, fmt.Errorf("profile: aggressor translate: %w", err)
 		}
 		loc := geom.LocOf(phys)
 		if bank == -1 {
 			bank = loc.Bank
 		} else if loc.Bank != bank {
-			*rowBuf = rows
-			return fmt.Errorf("profile: aggressors span banks %d and %d", bank, loc.Bank)
+			return 0, fmt.Errorf("profile: aggressors span banks %d and %d", bank, loc.Bank)
 		}
-		rows = append(rows, loc.Row)
+		*rowBuf = append(*rowBuf, loc.Row)
 	}
-	*rowBuf = rows
-	sys.Module().HammerQuiet(bank, rows, intensity)
-	return nil
+	return bank, nil
 }
 
 // HammerRows translates page-aligned aggressor addresses and hammers

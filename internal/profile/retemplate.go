@@ -42,6 +42,7 @@ func ExtendProfile(sys *memsys.System, attacker *memsys.Process, p *Profile, ext
 		}
 	}
 	p.BufPages += extPages
+	p.origin = nil
 	return nil
 }
 
@@ -98,7 +99,44 @@ func ReprofileUnion(sys *memsys.System, attacker *memsys.Process, p *Profile, cf
 			p.setAggressorPage(pg)
 		}
 	}
+	p.origin = nil
 	return added, nil
+}
+
+// ReplaySweep answers a ReprofileUnion of p with cfg without sweeping
+// when that sweep would certainly replay p's own template: p is the
+// unmodified result of one ProfileBuffer sweep that started on
+// untouched pass counters, cfg is that sweep's configuration, and sys's
+// module has the template's identity and fault model with every pass
+// counter still at 0. The sweep would then draw exactly the template's
+// coins and union in 0 flips. What it would still change is the pass
+// counters, so ReplaySweep advances them as the sweep's hammers would —
+// each experiment's aggressors once per fill polarity, a counter-only
+// walk with no fills, no cell walk and no readback — and leaves p as it
+// is. It reports false, having changed nothing, when the sweep is not
+// a certain replay. Unlike the sweep it writes no memory: the buffer
+// rows the sweep would have filled and flipped keep their contents.
+func ReplaySweep(sys *memsys.System, attacker *memsys.Process, p *Profile, cfg Config) (bool, error) {
+	mod := sys.Module()
+	if p.origin == nil || *p.origin != originOf(mod, cfg) || !mod.PassesUntouched() {
+		return false, nil
+	}
+	// Each experiment recorded one row per victim, consecutively, all
+	// sharing its aggressors: 1 double-sided, Sides−1 n-sided.
+	perExp := max(cfg.Sides-1, 1)
+	var rowArr [32]int
+	rows := rowArr[:0]
+	for i := 0; i < len(p.Rows); i += perExp {
+		r := &p.Rows[i]
+		bank, err := aggressorRowsInto(sys, attacker, r.AggressorVaddrs, &rows)
+		if err != nil {
+			return false, fmt.Errorf("profile: replaying the templating sweep: %w", err)
+		}
+		for range polarityBytes {
+			mod.AdvancePasses(bank, rows, r.Intensity)
+		}
+	}
+	return true, nil
 }
 
 // containsFlip reports whether list already records f.

@@ -35,8 +35,9 @@ type VictimConfig struct {
 	// Arch is one of the supported architectures: resnet20, resnet32,
 	// resnet18, resnet34, resnet50, vgg11, vgg16, bin-resnet32.
 	Arch string
-	// Classes is the task size; 0 picks the architecture's default
-	// (10, or 100 for the ImageNet-scale ResNets).
+	// Classes is the task size: 0 or the size of the architecture's
+	// synthetic task (10, or 100 for the ImageNet-scale ResNets); any
+	// other value is an error.
 	Classes int
 	// WidthMult scales channel counts; 0 means 0.25 (laptop friendly).
 	WidthMult float64
@@ -61,17 +62,18 @@ func TrainVictim(cfg VictimConfig) (*Victim, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	classes := cfg.Classes
 	dcfg := data.SynthCIFAR(0, cfg.Seed)
-	if classes == 0 {
-		classes = 10
-		if cfg.Arch == "resnet34" || cfg.Arch == "resnet50" {
-			classes = 100
-			dcfg = data.SynthImageNet(0, cfg.Seed)
-		}
+	if cfg.Arch == "resnet34" || cfg.Arch == "resnet50" {
+		dcfg = data.SynthImageNet(0, cfg.Seed)
+	}
+	if cfg.Classes == 0 {
+		cfg.Classes = dcfg.Classes
+	} else if cfg.Classes != dcfg.Classes {
+		return nil, fmt.Errorf("rowhammer: %s trains on a %d-class synthetic task, not %d classes",
+			cfg.Arch, dcfg.Classes, cfg.Classes)
 	}
 	res, err := pretrain.TrainCached(pretrain.Config{
-		Model:        models.Config{Arch: cfg.Arch, Classes: classes, WidthMult: cfg.WidthMult, Seed: cfg.Seed},
+		Model:        models.Config{Arch: cfg.Arch, Classes: cfg.Classes, WidthMult: cfg.WidthMult, Seed: cfg.Seed},
 		Data:         dcfg,
 		TrainSamples: cfg.TrainSamples,
 		TestSamples:  cfg.TestSamples,

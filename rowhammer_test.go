@@ -2,6 +2,7 @@ package rowhammer
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"rowhammer/internal/core"
@@ -200,6 +201,23 @@ func TestRunFleetMatchesHammerOnline(t *testing.T) {
 func TestTrainVictimUnknownArch(t *testing.T) {
 	if _, err := TrainVictim(VictimConfig{Arch: "lenet"}); err == nil {
 		t.Fatal("unknown architecture must fail")
+	}
+}
+
+// TestTrainVictimClassMismatch: a class count the architecture's
+// synthetic task does not have is refused before training, rather than
+// crashing the loss (fewer classes) or training a head wider than the
+// task (more).
+func TestTrainVictimClassMismatch(t *testing.T) {
+	for _, cfg := range []VictimConfig{
+		{Arch: "resnet20", Classes: 5},
+		{Arch: "resnet20", Classes: 100},
+		{Arch: "resnet50", Classes: 10},
+	} {
+		_, err := TrainVictim(cfg)
+		if err == nil || !strings.Contains(err.Error(), "class") {
+			t.Errorf("%s with %d classes: error %v, want a class-count error", cfg.Arch, cfg.Classes, err)
+		}
 	}
 }
 
