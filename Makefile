@@ -142,11 +142,12 @@ check-bench:
 ## (DESIGN §12, §13). Last, it reruns the serving batch-policy tests
 ## (forced coalescing, drain on Close, panic isolation) ten times under
 ## the race detector, so a timing-dependent regression shows (DESIGN §14),
-## and does the same for the DRAM module's lock-free weak-cell table and
-## atomic fault pass counters (DESIGN §6 item 5).
+## and does the same for the DRAM module's lock-free weak-cell table,
+## atomic fault pass counters and unlocked patch-slab lookups (DESIGN §6
+## items 4 and 5).
 V3_TESTS = Elementwise|BNAffine|BNSums|BatchNormMatches|Int8Path|QuantizePlanes|ConvI8|GoldenQuantForward
 SERVE_POLICY_TESTS = TestServeCoalescedBatchExact|TestServeCloseDrains|TestServeEnginePanic
-DRAM_TABLE_TESTS = TestSparseDenseWeakCellIdentity|TestWeakTableCapBoundsResidency|TestConcurrentFaultyHammerMatchesSerial
+DRAM_TABLE_TESTS = TestSparseDenseWeakCellIdentity|TestWeakTableCapBoundsResidency|TestConcurrentFaultyHammerMatchesSerial|TestConcurrentPatchedPagesMatchSerial
 
 vet: check-bench test-race
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \

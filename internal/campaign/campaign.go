@@ -600,15 +600,16 @@ func (e *engine) runJob(ctx context.Context, idx int, job Job, hit bool) (Result
 }
 
 // arenaEstimate guesses a campaign's resident-state footprint for
-// admission. Sparse modules materialize only pages the attack actually
-// dirties — roughly the flippy fraction of the templating buffer plus
-// the whole weight file — so the estimate is a fraction of the buffer
-// plus the file plus fixed slack for bookkeeping. The SKU's observed
-// arena high-water mark, when larger, replaces the guess: strictly
-// advisory, it only shapes admission order.
+// admission. A sparse module holds a 256 B patch cell (1/16 of a page)
+// for each buffer page left holding flips — at most about half of them,
+// the victim rows — and whole 4 KB arena cells only for the weight file
+// and the rare page whose patch overflows, so the estimate is 1/32 of
+// the buffer plus the file plus one 2 MB arena slab of slack. The SKU's
+// observed arena high-water mark, when larger, replaces the guess:
+// strictly advisory, it only shapes admission order.
 func (e *engine) arenaEstimate(job Job) int64 {
-	est := int64(job.Online.BufferPages)*memsys.PageSize/8 +
-		int64(len(job.WeightFile)) + 1<<20
+	est := int64(job.Online.BufferPages)*memsys.PageSize/32 +
+		int64(len(job.WeightFile)) + 2<<20
 	return max(est, e.cache.arenaPrior(job.skuKey()))
 }
 

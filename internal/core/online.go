@@ -52,10 +52,11 @@ type OnlineConfig struct {
 	// Profile, when non-nil, is a pre-computed flip template for the
 	// attacker buffer and ExecuteOnline skips the templating sweep
 	// entirely — the cross-campaign cache's warm path. It must describe
-	// the exact buffer this run would otherwise profile (same base, same
-	// page count on a pristine module of identical identity). The profile
-	// is treated as shared and read-only; when RetemplatePasses allows
-	// in-place mutation, the engine works on a private clone. Excluded
+	// the exact buffer this run would otherwise profile: same base, same
+	// page count, mapped onto the same frames (profile.CheckMapping; a
+	// template drawn on a System that was not pristine is refused). The
+	// profile is treated as shared and read-only; when RetemplatePasses
+	// allows in-place mutation, the engine works on a private clone. Excluded
 	// from JSON: a template is process-local runtime state, not part of
 	// a serialized job spec.
 	Profile *profile.Profile `json:"-"`
@@ -211,6 +212,9 @@ func ExecuteOnline(sys *memsys.System, weightFile []byte, reqs []profile.PageReq
 		if cfg.Profile.BufBase != bufBase || cfg.Profile.BufPages != cfg.BufferPages {
 			return nil, fmt.Errorf("core: cached profile covers buffer %#x/%d pages, this run maps %#x/%d",
 				cfg.Profile.BufBase, cfg.Profile.BufPages, bufBase, cfg.BufferPages)
+		}
+		if err := cfg.Profile.CheckMapping(attacker); err != nil {
+			return nil, fmt.Errorf("core: cached profile: %w", err)
 		}
 		prof = cfg.Profile
 		if cfg.RetemplatePasses > 0 {

@@ -189,3 +189,48 @@ func TestExecuteOnlineToleratesOutOfRangeFlips(t *testing.T) {
 		t.Fatalf("unmatched %d / matched %d, want %d/1", res.Unmatched, len(res.Plan.Matched), len(bad))
 	}
 }
+
+// TestExecuteOnlineRejectsForeignMapping: every process maps its first
+// buffer at the same virtual base, so only the frames tell a template
+// drawn on a System that was not pristine from a valid one. Such a
+// template, and a valid one offered to a run whose System was not
+// pristine, must both be refused, not planned against the wrong rows.
+func TestExecuteOnlineRejectsForeignMapping(t *testing.T) {
+	const filePages = 16
+	file, reqs := profile.SyntheticWorkload(filePages, 3)
+	cfg := OnlineConfig{BufferPages: 512, Sides: 2, Intensity: 1, MeasureSeed: 7}
+	dirty := func() *memsys.System {
+		sys := reuseModule(t, cfg.BufferPages)
+		if _, err := sys.NewProcess().Mmap(6); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+
+	foreign := templateOn(t, dirty(), cfg)
+	valid := templateOn(t, reuseModule(t, cfg.BufferPages), cfg)
+	if foreign.BufBase != valid.BufBase || foreign.BufPages != valid.BufPages {
+		t.Fatalf("templates cover %#x/%d and %#x/%d; the test needs equal buffers",
+			foreign.BufBase, foreign.BufPages, valid.BufBase, valid.BufPages)
+	}
+	cases := []struct {
+		name string
+		prof *profile.Profile
+		sys  *memsys.System
+	}{
+		{"template from a used System", foreign, reuseModule(t, cfg.BufferPages)},
+		{"run on a used System", valid, dirty()},
+	}
+	for _, tc := range cases {
+		c := cfg
+		c.Profile = tc.prof
+		_, err := ExecuteOnline(tc.sys, file, reqs, c)
+		if err == nil || !strings.Contains(err.Error(), "other frames") {
+			t.Fatalf("%s: err = %v, want a frame-mapping error", tc.name, err)
+		}
+	}
+	cfg.Profile = valid
+	if _, err := ExecuteOnline(reuseModule(t, cfg.BufferPages), file, reqs, cfg); err != nil {
+		t.Fatalf("valid template refused: %v", err)
+	}
+}

@@ -168,25 +168,13 @@ func (m *Module) Size() int { return m.geom.Size() }
 
 // Read returns the byte at a physical address.
 func (m *Module) Read(addr int) byte {
-	s := m.store.state[addr>>pageShift]
-	if s < 0 {
-		return decodeConst(s)
-	}
-	return m.store.pageBytes(s)[addr&pageMask]
+	return m.store.byteAt(addr>>pageShift, addr&pageMask)
 }
 
 // Write stores a byte at a physical address.
 func (m *Module) Write(addr int, v byte) {
-	p := addr >> pageShift
-	s := m.store.state[p]
-	if s < 0 {
-		if decodeConst(s) == v && !m.store.dense {
-			return
-		}
-		m.store.materialize(p)[addr&pageMask] = v
-		return
-	}
-	m.store.pageBytes(s)[addr&pageMask] = v
+	b := [1]byte{v}
+	m.WriteRange(addr, b[:])
 }
 
 // ReadRange copies n bytes starting at addr.
@@ -198,8 +186,8 @@ func (m *Module) ReadRange(addr, n int) []byte {
 
 // ReadRangeInto copies len(buf) bytes starting at addr into buf — the
 // allocation-free twin of ReadRange for steady-state readback loops.
-// Constant pages expand through the vectorized fill kernel without ever
-// materializing.
+// Constant and patched pages expand through the vectorized fill kernel
+// without ever materializing.
 func (m *Module) ReadRangeInto(addr int, buf []byte) {
 	for len(buf) > 0 {
 		p := addr >> pageShift
@@ -208,10 +196,15 @@ func (m *Module) ReadRangeInto(addr int, buf []byte) {
 		if n > len(buf) {
 			n = len(buf)
 		}
-		if s := m.store.state[p]; s < 0 {
-			tensor.FillBytes(buf[:n], decodeConst(s))
-		} else {
+		switch s := m.store.state[p]; {
+		case s >= 0:
 			copy(buf[:n], m.store.pageBytes(s)[off:off+n])
+		case isConst(s):
+			tensor.FillBytes(buf[:n], decodeConst(s))
+		default:
+			c := m.store.patch(s)
+			tensor.FillBytes(buf[:n], c.base)
+			c.applyTo(buf[:n], off)
 		}
 		addr += n
 		buf = buf[n:]
@@ -220,8 +213,9 @@ func (m *Module) ReadRangeInto(addr int, buf []byte) {
 
 // WriteRange stores buf starting at addr. Segments that leave a page
 // equal to one constant byte keep (or return) the page in constant
-// state, so bulk pattern writes — the templating fills, anonymous page
-// zeroing — never materialize storage.
+// state, and a segment of a patched page's base byte only drops patch
+// entries, so bulk pattern writes — the templating fills, anonymous
+// page zeroing — never materialize storage.
 func (m *Module) WriteRange(addr int, buf []byte) {
 	for len(buf) > 0 {
 		p := addr >> pageShift
@@ -231,31 +225,34 @@ func (m *Module) WriteRange(addr int, buf []byte) {
 			n = len(buf)
 		}
 		seg := buf[:n]
+		addr += n
+		buf = buf[n:]
 		if s := m.store.state[p]; s < 0 && !m.store.dense {
-			if tensor.IndexMismatchByte(seg, decodeConst(s)) < 0 {
-				// Segment repeats the page's constant: no-op.
-				addr += n
-				buf = buf[n:]
+			if isConst(s) {
+				if tensor.IndexMismatchByte(seg, decodeConst(s)) < 0 {
+					continue // the segment repeats the page's constant
+				}
+			} else if c := m.store.patch(s); tensor.IndexMismatchByte(seg, c.base) < 0 {
+				c.clearRange(off, off+n)
+				if c.n == 0 {
+					m.store.demote(p, c.base)
+				}
 				continue
 			}
 			if n == OSPageBytes && tensor.IndexMismatchByte(seg[1:], seg[0]) < 0 {
-				// Full page of one (different) byte: swap the constant.
+				// Full page of one byte: swap the constant.
 				m.store.demote(p, seg[0])
-				addr += n
-				buf = buf[n:]
 				continue
 			}
 		}
 		copy(m.store.materialize(p)[off:off+n], seg)
-		addr += n
-		buf = buf[n:]
 	}
 }
 
 // FillPage sets every byte of the 4 KB page at addr (page-aligned) to
 // v. On a sparse module this demotes the page to constant state and
-// recycles any arena cell it held — the O(1) path every templating fill
-// and anonymous-page zeroing goes through.
+// recycles any cell it held — the O(1) path every templating fill and
+// anonymous-page zeroing goes through.
 func (m *Module) FillPage(addr int, v byte) {
 	if addr&pageMask != 0 {
 		panic("dram: FillPage address not page aligned")
@@ -268,16 +265,30 @@ func (m *Module) FillPage(addr int, v byte) {
 	m.store.demote(p, v)
 }
 
-// PageConstant reports whether the 4 KB page containing addr currently
-// reads as a single constant byte, and which. Scan loops use it to skip
-// whole pages without touching memory; a materialized page returns
-// ok=false and must be read.
-func (m *Module) PageConstant(addr int) (byte, bool) {
-	s := m.store.state[addr>>pageShift]
-	if s < 0 {
-		return decodeConst(s), true
+// PageDiff calls fn(off, b^v) for every byte b of the 4 KB page
+// containing addr that differs from v, in ascending offset order. A
+// constant page equal to v costs nothing, a patched page whose base is
+// v yields its entries without reading a byte, and an arena page is
+// scanned in place with the vectorized mismatch kernel, so scanning a
+// page for flips copies nothing.
+func (m *Module) PageDiff(addr int, v byte, fn func(off int, diff byte)) {
+	switch s := m.store.state[addr>>pageShift]; {
+	case s >= 0:
+		b := m.store.pageBytes(s)
+		for off := 0; off < len(b); off++ {
+			i := tensor.IndexMismatchByte(b[off:], v)
+			if i < 0 {
+				return
+			}
+			off += i
+			fn(off, b[off]^v)
+		}
+	case isConst(s):
+		diffEntries(decodeConst(s), nil, v, fn)
+	default:
+		c := m.store.patch(s)
+		diffEntries(c.base, c.ent[:c.n], v, fn)
 	}
-	return 0, false
 }
 
 // FillRow sets every byte of a row to v.
@@ -558,14 +569,13 @@ func (m *Module) SingleSidedCanFire() bool { return m.canFire(0.5) }
 
 // fireCells flips every weak cell of the victim row whose threshold eff
 // reaches, unless the fault model's per-pass coin fails it, and logs
-// each flip when events is non-nil. Copy-on-hammer: the victim row's
-// two pages stay in constant state until a cell actually changes a bit.
-// Reads against a constant page decode the fill byte in place; the
-// first real flip materializes that half into the arena.
+// each flip when events is non-nil. The victim row's two pages stay in
+// constant state until a cell actually changes a bit; a flip then adds
+// a patch entry, and only a page whose patch is full takes an arena
+// cell (see sparse.go).
 func (m *Module) fireCells(bank, victim int, eff float64, pass uint64, events *[]FlipEvent) {
 	base := m.geom.RowBaseAddr(bank, victim)
 	failProb := m.fault.FlipFailProb
-	var halves [2][]byte
 	for _, cell := range m.weakCells(bank, victim) {
 		if cell.Threshold > eff {
 			continue
@@ -575,24 +585,11 @@ func (m *Module) fireCells(bank, victim int, eff float64, pass uint64, events *[
 		}
 		byteOff := int(cell.BitInRow) / 8
 		bit := int(cell.BitInRow) % 8
-		h := byteOff >> pageShift
-		page := (base >> pageShift) + h
-		var cur byte
-		if halves[h] != nil {
-			cur = halves[h][byteOff&pageMask]
-		} else if s := m.store.state[page]; s < 0 {
-			cur = decodeConst(s)
-		} else {
-			halves[h] = m.store.pageBytes(s)
-			cur = halves[h][byteOff&pageMask]
-		}
-		if (cur&(1<<bit) != 0) == (FlipDirection(cell.Dir) == ZeroToOne) {
+		page, off := (base+byteOff)>>pageShift, byteOff&pageMask
+		if (m.store.byteAt(page, off)&(1<<bit) != 0) == (FlipDirection(cell.Dir) == ZeroToOne) {
 			continue // bit already sits in the cell's target state
 		}
-		if halves[h] == nil {
-			halves[h] = m.store.materialize(page)
-		}
-		halves[h][byteOff&pageMask] ^= 1 << bit
+		m.store.flipBits(page, off, 1<<bit)
 		if events != nil {
 			*events = append(*events, FlipEvent{Addr: base + byteOff, Bit: bit, Dir: FlipDirection(cell.Dir)})
 		}

@@ -11,11 +11,12 @@ package dram
 // Reset rewinds the module to the state NewModule(geom, profile, seed)
 // would produce — every page constant zero, no dirty bits, fresh
 // weak-cell and fault state — while retaining the page-state slice,
-// dirty bitset and arena slabs. Observable behavior after Reset is
-// bit-identical to a fresh module: constant pages decode their fill
-// byte in place and materialization fills the (possibly stale) arena
-// cell before handing it out, so no prior campaign's bytes can leak.
-// Not safe concurrently with any other operation on the module.
+// dirty bitset and arena and patch slabs. Observable behavior after
+// Reset is bit-identical to a fresh module: constant pages decode their
+// fill byte in place, a new patch sets its base and entry count, and
+// materialization fills the (possibly stale) arena cell before handing
+// it out, so no prior campaign's bytes can leak. Not safe concurrently
+// with any other operation on the module.
 func (m *Module) Reset(profile DeviceProfile, seed int64) {
 	m.profile = profile
 	m.seed = seed
@@ -26,8 +27,8 @@ func (m *Module) Reset(profile DeviceProfile, seed int64) {
 	m.store.reset()
 }
 
-// reset returns every page to constant zero and recycles all arena
-// cells while keeping the slabs mapped.
+// reset returns every page to constant zero and recycles all arena and
+// patch cells while keeping the slabs mapped.
 func (ps *pageStore) reset() {
 	zero := encodeConst(0)
 	for i := range ps.state {
@@ -37,8 +38,7 @@ func (ps *pageStore) reset() {
 		ps.dirty[i] = 0
 	}
 	ps.storeMu.Lock()
-	ps.freeSlots = ps.freeSlots[:0]
-	ps.nextSlot = 0
-	ps.resident = 0
+	ps.cells.reset()
+	ps.patched.reset()
 	ps.storeMu.Unlock()
 }

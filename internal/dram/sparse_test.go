@@ -101,7 +101,7 @@ func driveModule(t *testing.T, m *Module) []FlipEvent {
 }
 
 // TestSparseDenseIdentity is the storage rewrite's core contract: the
-// sparse fast paths (constant pages, demote-on-fill, copy-on-hammer,
+// sparse fast paths (constant pages, demote-on-fill, patch-on-hammer,
 // sub-threshold skip) are invisible — the same seed and workload give
 // identical flip inventories and identical memory images on the sparse
 // module and the always-materialized dense oracle.
@@ -256,8 +256,9 @@ func TestWeakTableCapBoundsResidency(t *testing.T) {
 }
 
 // TestSparseResidencyLifecycle checks the memory-scaling invariants:
-// reads never materialize, constant fills demote and recycle arena
-// cells, and only pages holding divergent bytes stay resident.
+// reads never materialize, constant fills demote and recycle arena and
+// patch cells, hammer flips patch pages instead of materializing them,
+// and only pages holding divergent bytes stay resident.
 func TestSparseResidencyLifecycle(t *testing.T) {
 	geom := GeometryForSize(8<<20, 16)
 	m, err := NewModule(geom, PaperDDR3(), 3)
@@ -283,8 +284,8 @@ func TestSparseResidencyLifecycle(t *testing.T) {
 	if got := m.ResidentPages(); got != 0 {
 		t.Fatalf("constant fill materialized %d pages, want 0", got)
 	}
-	if c, ok := m.PageConstant(geom.RowBaseAddr(0, 4)); !ok || c != 0xFF {
-		t.Fatalf("filled page constant = (%#x, %v), want (0xFF, true)", c, ok)
+	if s := m.store.state[geom.RowBaseAddr(0, 4)>>pageShift]; !isConst(s) || decodeConst(s) != 0xFF {
+		t.Fatalf("filled page state = %d, want constant 0xFF", s)
 	}
 	// A real write materializes exactly one page...
 	m.Write(geom.RowBaseAddr(0, 4)+8, 0x01)
@@ -304,6 +305,40 @@ func TestSparseResidencyLifecycle(t *testing.T) {
 	}
 	if m.TouchedPages() == 0 {
 		t.Fatal("TouchedPages lost track of dirtied pages")
+	}
+
+	// Hammering a constant row leaves its flippy pages patched, not
+	// materialized.
+	hammerRow := func(victim int) {
+		m.FillRow(1, victim-1, 0xFF)
+		m.FillRow(1, victim, 0x00)
+		m.FillRow(1, victim+1, 0xFF)
+		if len(m.Hammer(1, []int{victim - 1, victim + 1}, 1)) == 0 {
+			t.Fatalf("hammering row %d flipped nothing; the patch checks are vacuous", victim)
+		}
+	}
+	resident := m.ResidentPages()
+	hammerRow(20)
+	patched := m.store.patched.live
+	if patched == 0 || m.ResidentPages() != resident {
+		t.Fatalf("hammer left %d patched pages and %d resident (was %d), want patches only", patched, m.ResidentPages(), resident)
+	}
+	for half := 0; half < 2; half++ {
+		if s := m.store.state[geom.RowBaseAddr(1, 20)>>pageShift+half]; s >= 0 {
+			t.Fatalf("victim page %d materialized on a hammer", half)
+		}
+	}
+	// The next fill frees their cells...
+	m.FillRow(1, 20, 0x00)
+	if got := m.store.patched.live; got != 0 {
+		t.Fatalf("fill left %d patched pages, want 0", got)
+	}
+	// ...which the next hammer reuses: the arena does not grow while a
+	// free cell exists.
+	before = m.ArenaBytes()
+	hammerRow(20)
+	if got := m.ArenaBytes(); got != before {
+		t.Fatalf("arena grew from %d to %d bytes despite free patch cells", before, got)
 	}
 }
 

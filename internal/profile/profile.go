@@ -75,6 +75,10 @@ type Profile struct {
 	// rows appended by adaptive re-templating are indexed incrementally
 	// on the next buildFlipIndex call.
 	indexedRows int
+	// frames is the buffer's memsys.FrameDigest when it was templated:
+	// aggressor vaddrs and buffer pages are positional, so the template
+	// holds only where the buffer maps the same frames (CheckMapping).
+	frames uint64
 	// origin is where the profile came from when it is the unmodified
 	// result of one ProfileBuffer sweep started on untouched pass
 	// counters, nil otherwise (see ReplaySweep).
@@ -115,6 +119,7 @@ func (p *Profile) Clone() *Profile {
 		Rows:          make([]VictimRow, len(p.Rows)),
 		aggressorBits: append([]uint64(nil), p.aggressorBits...),
 		victimIdx:     append([]int32(nil), p.victimIdx...),
+		frames:        p.frames,
 		origin:        p.origin,
 	}
 	for i := range p.Rows {
@@ -126,6 +131,22 @@ func (p *Profile) Clone() *Profile {
 		c.Rows[i] = r
 	}
 	return c
+}
+
+// CheckMapping returns an error unless attacker maps the profile's
+// buffer onto the frames it was templated on. Every process maps its
+// first buffer at the same virtual base, so a template drawn on a
+// System that was not pristine passes a base-and-length check while its
+// aggressor vaddrs name other DRAM rows.
+func (p *Profile) CheckMapping(attacker *memsys.Process) error {
+	d, err := attacker.FrameDigest(p.BufBase, p.BufPages)
+	if err != nil {
+		return fmt.Errorf("profile: buffer mapping: %w", err)
+	}
+	if d != p.frames {
+		return fmt.Errorf("profile: buffer %#x/%d pages maps other frames than it was templated on", p.BufBase, p.BufPages)
+	}
+	return nil
 }
 
 // Config controls profiling.
@@ -186,6 +207,10 @@ func ProfileBuffer(sys *memsys.System, attacker *memsys.Process, bufBase, bufPag
 	if bufPages%2 != 0 {
 		return nil, fmt.Errorf("profile: buffer must be a whole number of 8KB rows")
 	}
+	frames, err := attacker.FrameDigest(bufBase, bufPages)
+	if err != nil {
+		return nil, fmt.Errorf("profile: buffer: %w", err)
+	}
 	var origin *sweepOrigin
 	if mod := sys.Module(); mod.PassesUntouched() {
 		o := originOf(mod, cfg)
@@ -225,6 +250,7 @@ func ProfileBuffer(sys *memsys.System, attacker *memsys.Process, bufBase, bufPag
 	p := &Profile{
 		BufBase:  bufBase,
 		BufPages: bufPages,
+		frames:   frames,
 		origin:   origin,
 	}
 	p.ensurePages(bufPages)
@@ -358,11 +384,10 @@ type experiment struct {
 var polarityBytes = [2]byte{0x00, 0xFF}
 
 // expScratch is the per-worker reusable scratch of the experiment loop:
-// one page of readback, the aggressor row translation buffer, the
-// victim/aggressor chunk lists, and the flip accumulator. Pooled so the
-// steady-state profiling loop allocates only its outputs.
+// the aggressor row translation buffer, the victim/aggressor chunk
+// lists, and the flip accumulator. Pooled so the steady-state profiling
+// loop allocates only its outputs.
 type expScratch struct {
-	buf     []byte
 	rowBuf  []int
 	victims []int
 	aggrs   []int
@@ -370,9 +395,7 @@ type expScratch struct {
 	segs    [][2][2][2]int // [victim][half][polarity] = {start, end} into flips
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &expScratch{buf: make([]byte, memsys.PageSize)}
-}}
+var scratchPool = sync.Pool{New: func() any { return new(expScratch) }}
 
 // fillChunk sets both halves of an 8 KB chunk to the polarity byte —
 // two O(1) constant-page demotes on a sparse module, no 4 KB streaming.
@@ -430,38 +453,23 @@ func runExperiment(sys *memsys.System, attacker *memsys.Process, bufBase int, cl
 			dir = dram.OneToZero
 		}
 		// Scan victims for flipped bits. A page still in constant state
-		// at its fill polarity provably holds zero flips and is skipped
-		// without touching memory (the usual case: hammering materializes
-		// only pages that actually flipped). Materialized pages are read
-		// back and scanned with the vectorized mismatch kernel — a clean
-		// 4 KB page costs ~128 AVX2 compares.
+		// at its fill polarity provably holds zero flips and costs
+		// nothing; a patched page whose base is the polarity yields its
+		// patch entries; an arena page is scanned in place with the
+		// vectorized mismatch kernel — a clean 4 KB page costs ~128 AVX2
+		// compares.
 		for vi, vc := range sc.victims {
 			for half := 0; half < 2; half++ {
 				start := len(sc.flips)
-				va := vc + half*memsys.PageSize
-				if c, constant, err := attacker.PageConstantAt(va); err != nil {
-					return nil, err
-				} else if constant && c == polarity {
-					sc.segs[vi][half][pi] = [2]int{start, start}
-					continue
-				}
-				if err := attacker.ReadInto(va, sc.buf); err != nil {
-					return nil, err
-				}
-				for off := 0; off < memsys.PageSize; {
-					i := tensor.IndexMismatchByte(sc.buf[off:], polarity)
-					if i < 0 {
-						break
-					}
-					j := off + i
-					diff := sc.buf[j] ^ polarity
+				err := attacker.PageDiff(vc+half*memsys.PageSize, polarity, func(off int, diff byte) {
 					for bit := 0; bit < 8; bit++ {
-						if diff&(1<<bit) == 0 {
-							continue
+						if diff&(1<<bit) != 0 {
+							sc.flips = append(sc.flips, CellFlip{Offset: off, Bit: bit, Dir: dir})
 						}
-						sc.flips = append(sc.flips, CellFlip{Offset: j, Bit: bit, Dir: dir})
 					}
-					off = j + 1
+				})
+				if err != nil {
+					return nil, err
 				}
 				sc.segs[vi][half][pi] = [2]int{start, len(sc.flips)}
 			}

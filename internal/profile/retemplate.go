@@ -43,6 +43,9 @@ func ExtendProfile(sys *memsys.System, attacker *memsys.Process, p *Profile, ext
 	}
 	p.BufPages += extPages
 	p.origin = nil
+	if p.frames, err = attacker.FrameDigest(p.BufBase, p.BufPages); err != nil {
+		return fmt.Errorf("profile: extended buffer: %w", err)
+	}
 	return nil
 }
 

@@ -43,7 +43,7 @@ func profileOn(t *testing.T, dense bool, workers, bufPages int, cfg Config) *Pro
 
 // TestProfileSparseDenseIdentity pins the tentpole contract at the
 // engine level: profiling a sparse module — constant-page fills, scan
-// skips, copy-on-hammer materialization — yields a profile
+// skips, patched pages read from their entries — yields a profile
 // byte-identical to the dense oracle's, at every worker count.
 func TestProfileSparseDenseIdentity(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(4)

@@ -270,8 +270,10 @@ func (s *Server) runBatch(batch []*request) {
 			copy(res.Logits, logits.Data()[i*k:(i+1)*k])
 			s.stats.record(done.Sub(r.enq))
 		}
-		r.out <- res
+		// The slot goes back before the reply, so once Submit returns
+		// its request holds no slot.
 		<-s.slots
+		r.out <- res
 	}
 }
 
